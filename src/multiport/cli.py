@@ -26,23 +26,21 @@ from .contexts import (
     load_context_graph,
     validate_context_graph,
 )
-from .decompose import decompose, reconstruct, save_factorization
+from .decompose import decompose, save_factorization
 from .interferometer import (
+    _fmt,
     load_netlist,
     netlist_from_factorization,
     render_schematic,
     save_netlist,
     simulate,
+    transfer_matrix,
 )
 from .numerics import equal_up_to_global_phase, load_matrix, save_matrix
 from .observables import analyzer_unitary, parse_obs_spec, predict_ports
 from .states import preparation_unitary, resolve_state
 
 __all__ = ["main", "build_parser"]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
 
 
 def _json_mode() -> bool:
@@ -121,7 +119,7 @@ def _cmd_decompose(args) -> int:
     net = netlist_from_factorization(fact)
     save_netlist(args.outfile, net)
 
-    err = float(np.max(np.abs(reconstruct(fact) - u)))
+    err = float(np.max(np.abs(transfer_matrix(net) - u)))
     lines = [
         f"dim {fact.dim}",
         f"factors {len(fact.factors)}",

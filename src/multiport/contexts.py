@@ -9,12 +9,11 @@ be handed to it and come back flagged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_vector, equal_up_to_global_phase
+from .numerics import as_vector, equal_up_to_global_phase, read_json, write_json
 from .observables import ObservableSpec
 
 __all__ = [
@@ -274,30 +273,23 @@ def context_graph_from_payload(payload) -> ContextGraph:
         raise ValueError("context graph payload must be a list of contexts")
     contexts = []
     for item in payload:
-        try:
-            name = str(item["name"])
-            rays = tuple(
-                Ray(
-                    label=str(rr["label"]),
-                    vector=np.array(
-                        [complex(float(re), float(im)) for re, im in rr["vector"]],
-                        dtype=np.complex128,
-                    ),
-                )
-                for rr in item["rays"]
+        rays = tuple(
+            Ray(
+                label=str(rr["label"]),
+                vector=np.array(
+                    [complex(float(re), float(im)) for re, im in rr["vector"]],
+                    dtype=np.complex128,
+                ),
             )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed context payload: {exc}") from exc
-        contexts.append(Context(name=name, rays=rays))
+            for rr in item["rays"]
+        )
+        contexts.append(Context(name=str(item["name"]), rays=rays))
     return ContextGraph(contexts=tuple(contexts))
 
 
 def save_context_graph(path, graph: ContextGraph) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(context_graph_to_payload(graph), fh)
+    write_json(path, context_graph_to_payload(graph))
 
 
 def load_context_graph(path) -> ContextGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return context_graph_from_payload(payload)
+    return read_json(path, context_graph_from_payload)

@@ -9,15 +9,14 @@ so ``reconstruct(decompose(u)) == u`` to float accuracy.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .devices import TParams, t_matrix
-from .numerics import as_matrix, unitarity_deviation
+from .devices import TParams, apply_two_port, t_matrix
+from .numerics import as_matrix, read_json, unitarity_deviation, write_json
 
 __all__ = [
     "TFactor",
@@ -33,7 +32,7 @@ __all__ = [
 ]
 
 SKIP_TOL = 1e-14  # entries at or below this magnitude need no elimination
-_DRIFT_TOL = 1e-9  # sentinel: the working matrix must stay unitary
+UNITARY_TOL = 1e-9  # input Gram deviation; residual distance from a unit-modulus diagonal
 
 
 @dataclass(frozen=True)
@@ -107,10 +106,7 @@ def embed_two_port(n: int, p: int, q: int, block) -> np.ndarray:
     if b.shape != (2, 2):
         raise ValueError("block must be 2x2")
     m = np.eye(n, dtype=np.complex128)
-    m[p, p] = b[0, 0]
-    m[p, q] = b[0, 1]
-    m[q, p] = b[1, 0]
-    m[q, q] = b[1, 1]
+    apply_two_port(m, p, q, b)
     return m
 
 
@@ -121,14 +117,16 @@ def decompose(u) -> Factorization:
     cell for entry (i, j) mixes columns j and i against the diagonal entry
     (i, i).  Entries already below 1e-14 are skipped, so the factor count is
     at most n(n-1)/2 and diagonal/permutation-like inputs come out shorter.
+    The input's Gram deviation, and after elimination the residual's distance
+    from a unit-modulus diagonal, must stay within ``UNITARY_TOL``.
     """
     m = as_matrix(u).copy()
     n, c = m.shape
     if n != c:
         raise ValueError(f"can only decompose square matrices, got {n}x{c}")
     dev = unitarity_deviation(m)
-    if dev > 1e-8:
-        raise ValueError(f"input is not unitary (deviation {dev:.3e} > 1e-8)")
+    if dev > UNITARY_TOL:
+        raise ValueError(f"input is not unitary (deviation {dev:.3e} > {UNITARY_TOL:g})")
 
     factors: list[TFactor] = []
     for i in range(n - 1, 0, -1):
@@ -137,29 +135,21 @@ def decompose(u) -> Factorization:
             if t is None:
                 continue
             factors.append(TFactor(p=j, q=i, params=t))
-            s, co = math.sin(t.omega), math.cos(t.omega)
-            ph = cmath.exp(-1j * t.phi)
-            col_j = m[:, j].copy()
-            col_i = m[:, i].copy()
-            m[:, j] = s * col_j + ph * co * col_i
-            m[:, i] = co * col_j - ph * s * col_i
-            drift = unitarity_deviation(m)
-            if drift > _DRIFT_TOL:
-                raise ValueError(
-                    f"working matrix drifted from unitarity ({drift:.3e}) during elimination"
-                )
+            apply_two_port(m.T, j, i, t_matrix(t).T)
 
-    diag = np.diagonal(m)
-    phases = tuple(float(-np.angle(d)) for d in diag)
-    return Factorization(dim=n, factors=tuple(factors), diagonal=phases)
+    angles = np.angle(np.diagonal(m))
+    drift = float(np.max(np.abs(m - np.diag(np.exp(1j * angles)))))
+    if drift > UNITARY_TOL:
+        raise ValueError(f"elimination left a residual {drift:.3e} off a unit-modulus diagonal")
+    return Factorization(dim=n, factors=tuple(factors), diagonal=tuple(float(-a) for a in angles))
 
 
 def reconstruct(f: Factorization) -> np.ndarray:
-    """Rebuild the unitary: D^dagger @ T_K^dagger @ ... @ T_1^dagger."""
-    out = np.diag(np.exp(-1j * np.asarray(f.diagonal, dtype=np.float64)))
-    for fac in reversed(f.factors):
-        block = t_matrix(fac.params).conj().T
-        out = out @ embed_two_port(f.dim, fac.p, fac.q, block)
+    """Rebuild the unitary: D^dagger @ T_K^dagger @ ... @ T_1^dagger, T_1^dagger applied first."""
+    out = np.eye(f.dim, dtype=np.complex128)
+    for fac in f.factors:
+        apply_two_port(out, fac.p, fac.q, t_matrix(fac.params).conj().T)
+    out *= np.exp(-1j * np.asarray(f.diagonal))[:, None]
     return out
 
 
@@ -186,14 +176,10 @@ def factorization_to_payload(f: Factorization) -> dict:
 
 
 def factorization_from_payload(payload: dict) -> Factorization:
-    try:
-        dim = int(payload["dim"])
-        raw_factors = payload["factors"]
-        diagonal = tuple(float(d) for d in payload["diagonal"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed factorization payload: {exc}") from exc
+    dim = int(payload["dim"])
+    diagonal = tuple(float(d) for d in payload["diagonal"])
     factors = []
-    for item in raw_factors:
+    for item in payload["factors"]:
         p = int(item["p"])
         q = int(item["q"])
         if not 1 <= p < q <= dim:
@@ -205,11 +191,8 @@ def factorization_from_payload(payload: dict) -> Factorization:
 
 
 def save_factorization(path, f: Factorization) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(factorization_to_payload(f), fh)
+    write_json(path, factorization_to_payload(f))
 
 
 def load_factorization(path) -> Factorization:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return factorization_from_payload(payload)
+    return read_json(path, factorization_from_payload)

@@ -33,6 +33,7 @@ __all__ = [
     "BsParams",
     "MzParams",
     "t_matrix",
+    "apply_two_port",
     "t_bs",
     "t_bs_product",
     "t_mz",
@@ -139,6 +140,15 @@ def t_matrix(p: TParams) -> np.ndarray:
     s, c = math.sin(p.omega), math.cos(p.omega)
     ph = cmath.exp(-1j * p.phi)
     return np.array([[s, c], [ph * c, -ph * s]], dtype=np.complex128)
+
+
+def apply_two_port(m: np.ndarray, p: int, q: int, block: np.ndarray) -> None:
+    """Multiply rows ``p`` and ``q`` of ``m`` in place by a 2x2 block.
+
+    The effect is ``m[[p, q]] = block @ m[[p, q]]``; ``m`` is a matrix or a
+    vector, and ``m.T`` acts on columns.  The one way a cell is applied.
+    """
+    m[[p, q]] = block @ m[[p, q]]
 
 
 def t_bs(p: BsParams) -> np.ndarray:

@@ -15,16 +15,15 @@ in files and rendered output.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .decompose import Factorization, embed_two_port
-from .devices import BsParams, fit_bs, omega_from_transmission, t_bs, t_matrix, transmission
-from .numerics import as_vector
+from .decompose import Factorization
+from .devices import BsParams, apply_two_port, fit_bs, omega_from_transmission, t_bs, t_matrix, transmission
+from .numerics import as_vector, read_json, write_json
 
 __all__ = [
     "Element",
@@ -44,6 +43,7 @@ __all__ = [
 ]
 
 _KINDS = ("bs", "ps", "diag")
+MAX_FILE_DIM = 4096  # largest netlist dim read from a file, checked before any allocation
 
 
 @dataclass(frozen=True)
@@ -122,22 +122,20 @@ class Netlist:
                 )
 
 
+def _apply_element(e: Element, m: np.ndarray) -> None:
+    """Apply one element in place to the rows of a matrix or a vector."""
+    if e.kind == "bs":
+        omega = omega_from_transmission(e.T)
+        apply_two_port(m, e.p, e.q, t_bs(BsParams(omega, e.alpha, e.beta, e.phi)))
+    elif e.kind == "ps":
+        m[e.p] *= cmath.exp(1j * e.phase)
+    else:  # diag: row k picks up exp(i * phases[k])
+        np.multiply(m.T, np.exp(1j * np.asarray(e.phases)), out=m.T)
+
+
 def element_matrix(e: Element, dim: int) -> np.ndarray:
     """The dim x dim unitary realized by one element."""
-    if e.kind == "bs":
-        params = BsParams(
-            omega=omega_from_transmission(e.T), alpha=e.alpha, beta=e.beta, phi=e.phi
-        )
-        return embed_two_port(dim, e.p, e.q, t_bs(params))
-    if e.kind == "ps":
-        if e.p >= dim:
-            raise ValueError(f"ps port {e.p} out of range for dim {dim}")
-        m = np.eye(dim, dtype=np.complex128)
-        m[e.p, e.p] = cmath.exp(1j * e.phase)
-        return m
-    if len(e.phases) != dim:
-        raise ValueError(f"diag element has {len(e.phases)} phases, expected {dim}")
-    return np.diag(np.exp(1j * np.asarray(e.phases, dtype=np.float64)))
+    return transfer_matrix(Netlist(dim=dim, elements=(e,)))
 
 
 def netlist_from_factorization(f: Factorization) -> Netlist:
@@ -171,17 +169,17 @@ def transfer_matrix(nl: Netlist) -> np.ndarray:
     """Product of all element matrices in passage order."""
     out = np.eye(nl.dim, dtype=np.complex128)
     for e in nl.elements:
-        out = element_matrix(e, nl.dim) @ out
+        _apply_element(e, out)
     return out
 
 
 def simulate(nl: Netlist, state) -> np.ndarray:
-    """Push an input amplitude vector through every element in order."""
-    v = as_vector(state)
+    """Push an input amplitude vector through every element in order (not in place)."""
+    v = as_vector(state).copy()
     if v.size != nl.dim:
         raise ValueError(f"state dimension {v.size} does not match netlist dim {nl.dim}")
     for e in nl.elements:
-        v = element_matrix(e, nl.dim) @ v
+        _apply_element(e, v)
     return v
 
 
@@ -281,13 +279,11 @@ def netlist_to_payload(nl: Netlist) -> dict:
 
 
 def netlist_from_payload(payload: dict) -> Netlist:
-    try:
-        dim = int(payload["dim"])
-        raw = payload["elements"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed netlist payload: {exc}") from exc
+    dim = int(payload["dim"])
+    if dim > MAX_FILE_DIM:
+        raise ValueError(f"netlist dim {dim} exceeds the limit of {MAX_FILE_DIM}")
     elements = []
-    for item in raw:
+    for item in payload["elements"]:
         kind = item.get("kind")
         if kind == "bs":
             p, q = int(item["p"]), int(item["q"])
@@ -316,11 +312,8 @@ def netlist_from_payload(payload: dict) -> Netlist:
 
 
 def save_netlist(path, nl: Netlist) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(netlist_to_payload(nl), fh)
+    write_json(path, netlist_to_payload(nl))
 
 
 def load_netlist(path) -> Netlist:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return netlist_from_payload(payload)
+    return read_json(path, netlist_from_payload)

@@ -1,8 +1,7 @@
 """Dense complex linear algebra helpers shared by the rest of the package.
 
 Everything operates on plain ``numpy`` arrays with ``complex128`` entries.
-Problem sizes are small (at most 27x27), so the implementations favor
-readability over sparsity tricks.
+The implementations favor readability over sparsity tricks.
 """
 
 from __future__ import annotations
@@ -26,6 +25,8 @@ __all__ = [
     "load_matrix",
     "matrix_to_payload",
     "matrix_from_payload",
+    "read_json",
+    "write_json",
 ]
 
 ArrayLike = Union[np.ndarray, list, tuple]
@@ -169,7 +170,27 @@ def equal_up_to_global_phase(a: ArrayLike, b: ArrayLike, tol: float = 1e-10) -> 
 
 
 # --- JSON persistence ---------------------------------------------------
-#
+
+
+def write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+
+
+def read_json(path, from_payload):
+    """Build an object from a JSON file with ``from_payload``.
+
+    A file whose structure does not fit -- a missing key, a number where a
+    list or an object belongs -- raises ValueError, like a bad value does.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    try:
+        return from_payload(payload)
+    except (LookupError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed file {path} ({type(exc).__name__}: {exc})") from exc
+
+
 # Matrix files: {"rows": R, "cols": C, "entries": [[re, im], ...]} with the
 # entries flattened in row-major order.  Floats survive a dump/load round
 # trip bitwise (json uses repr, which is shortest-exact for doubles).
@@ -185,12 +206,9 @@ def matrix_to_payload(m: ArrayLike) -> dict:
 
 
 def matrix_from_payload(payload: dict) -> np.ndarray:
-    try:
-        rows = int(payload["rows"])
-        cols = int(payload["cols"])
-        entries = payload["entries"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix payload: {exc}") from exc
+    rows = int(payload["rows"])
+    cols = int(payload["cols"])
+    entries = payload["entries"]
     if rows < 1 or cols < 1:
         raise ValueError("matrix payload must have positive shape")
     if len(entries) != rows * cols:
@@ -205,11 +223,8 @@ def matrix_from_payload(payload: dict) -> np.ndarray:
 
 
 def save_matrix(path, m: ArrayLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_payload(m), fh)
+    write_json(path, matrix_to_payload(m))
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return matrix_from_payload(payload)
+    return read_json(path, matrix_from_payload)

@@ -206,6 +206,22 @@ def test_simulate_missing_net_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+GARBLED_NETLISTS = {
+    "ps-with-phi": {"dim": 2, "elements": [{"kind": "ps", "p": 1, "phi": 0.3}]},
+    "bs-without-T": {"dim": 2, "elements": [{"kind": "bs", "p": 1, "q": 2}]},
+    "bare-number-element": {"dim": 2, "elements": [0.5]},
+}
+
+
+@pytest.mark.parametrize("payload", GARBLED_NETLISTS.values(), ids=GARBLED_NETLISTS.keys())
+def test_simulate_garbled_netlist_exits_4(tmp_path, capsys, payload):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "simulate", "--net", str(net))
+    assert code == 4
+    assert "error:" in err
+
+
 def test_simulate_bad_port_exits_4(tmp_path, capsys):
     net = tmp_path / "net.json"
     run(capsys, "prepare", "--state", "bell1", "--out", str(net))

@@ -1,3 +1,6 @@
+import importlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +11,14 @@ from multiport import (
     TParams,
     decompose,
     load_factorization,
+    netlist_from_factorization,
     random_unitary,
     reconstruct,
     save_factorization,
+    simulate,
     solve_t_params,
     t_matrix,
+    transfer_matrix,
     unitarity_deviation,
 )
 from multiport.decompose import embed_two_port
@@ -102,17 +108,49 @@ def test_reference_preparation_round_trip():
     assert np.max(np.abs(reconstruct(f) - refdata.UP_9)) <= 1e-10
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 9])
-def test_random_round_trip(n):
-    u = random_unitary(n, 1000 + n)
+ROUND_TRIP_INPUTS = [pytest.param(random_unitary(n, 1000 + n), id=str(n)) for n in (2, 3, 5, 9)]
+ROUND_TRIP_INPUTS += [pytest.param(u, id=k) for k, u in refdata.EDGE_UNITARIES.items()]
+
+
+@pytest.mark.parametrize("u", ROUND_TRIP_INPUTS)
+def test_random_round_trip(u):
+    n = len(u)
     f = decompose(u)
     assert len(f.factors) <= n * (n - 1) // 2
     assert np.max(np.abs(reconstruct(f) - u)) <= 1e-10
+    nl = netlist_from_factorization(f)
+    assert np.max(np.abs(transfer_matrix(nl) - u)) <= 1e-10
+    for k in range(n):
+        assert np.max(np.abs(simulate(nl, np.eye(n)[:, k]) - u[:, k])) <= 1e-10
 
 
 def test_rejects_non_unitary_input():
     with pytest.raises(ValueError):
         decompose(np.ones((3, 3)))
+
+
+@pytest.mark.parametrize(
+    "u", [random_unitary(6, 42), np.diag(np.exp(1j * np.arange(6.0)))], ids=["dense", "diagonal"]
+)
+def test_slightly_scaled_unitary_is_rejected_as_input(u):
+    # One verdict and one message, whether or not the input needs cells.
+    with pytest.raises(ValueError, match="input is not unitary"):
+        decompose(u * (1 + 2.5e-9))
+
+
+def test_corrupted_cell_is_caught(monkeypatch):
+    # A cell off by 1e-6 in omega is still unitary, so no Gram check sees it;
+    # the residual left after elimination does.
+    module = importlib.import_module("multiport.decompose")
+    solve = module.solve_t_params
+
+    def off_by_1e6(a, b):
+        t = solve(a, b)
+        return None if t is None else TParams(t.omega + 1e-6, t.phi)
+
+    monkeypatch.setattr(module, "solve_t_params", off_by_1e6)
+    with pytest.raises(ValueError, match="residual"):
+        decompose(random_unitary(6, 3))
 
 
 def test_empty_factorization_reconstructs_identity():
@@ -146,8 +184,6 @@ def test_factorization_file_round_trip(tmp_path):
 
 
 def test_factorization_file_ports_are_one_based(tmp_path):
-    import json
-
     f = decompose(refdata.U2_4)
     path = tmp_path / "f.json"
     save_factorization(path, f)
@@ -156,6 +192,14 @@ def test_factorization_file_ports_are_one_based(tmp_path):
     mem_ports = {(t.p + 1, t.q + 1) for t in f.factors}
     assert file_ports == mem_ports
     assert all(e["p"] >= 1 for e in payload["factors"])
+
+
+def test_factorization_file_without_omega_is_a_value_error(tmp_path):
+    path = tmp_path / "f.json"
+    factor = {"p": 1, "q": 2, "phi": 0.0}
+    path.write_text(json.dumps({"dim": 2, "factors": [factor], "diagonal": [0.0, 0.0]}))
+    with pytest.raises(ValueError):
+        load_factorization(path)
 
 
 @settings(max_examples=20, deadline=None)

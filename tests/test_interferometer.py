@@ -111,14 +111,26 @@ def test_preparation_netlist_reaches_singlet():
     assert equal_up_to_global_phase(out, bell_state(4), 1e-10)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 6])
-def test_compiled_transfer_matches_source_unitary(n):
-    u = random_unitary(n, 500 + n)
-    nl = netlist_from_factorization(decompose(u))
+COMPILE_INPUTS = [pytest.param(random_unitary(n, 500 + n), id=str(n)) for n in (2, 3, 4, 6)]
+COMPILE_INPUTS += [pytest.param(u, id=k) for k, u in refdata.EDGE_UNITARIES.items()]
+
+
+@pytest.mark.parametrize("u", COMPILE_INPUTS)
+def test_compiled_transfer_matches_source_unitary(u):
+    n = len(u)
+    f = decompose(u)
+    assert np.max(np.abs(reconstruct(f) - u)) <= 1e-10
+    nl = netlist_from_factorization(f)
     assert np.max(np.abs(transfer_matrix(nl) - u)) <= 1e-10
     for k in range(n):
-        out = simulate(nl, np.eye(n)[:, k])
-        assert equal_up_to_global_phase(out, u[:, k], 1e-10)
+        assert np.max(np.abs(simulate(nl, np.eye(n)[:, k]) - u[:, k])) <= 1e-10
+
+
+def test_simulate_leaves_the_input_untouched():
+    nl = netlist_from_factorization(decompose(random_unitary(4, 9)))
+    v = np.array([0.6, 0.0, 0.8j, 0.0])
+    simulate(nl, v)
+    np.testing.assert_array_equal(v, [0.6, 0.0, 0.8j, 0.0])
 
 
 @settings(max_examples=20, deadline=None)
@@ -172,3 +184,10 @@ def test_netlist_file_round_trip(tmp_path):
     payload = json.loads(path.read_text())
     bs_entries = [e for e in payload["elements"] if e["kind"] == "bs"]
     assert bs_entries and all(e["p"] >= 1 and e["q"] >= 2 for e in bs_entries)
+
+
+def test_netlist_file_dim_is_capped(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"dim": 10**12, "elements": []}))
+    with pytest.raises(ValueError, match="dim"):
+        load_netlist(path)
