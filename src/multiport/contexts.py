@@ -9,7 +9,9 @@ be handed to it and come back flagged.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -99,16 +101,40 @@ def context_of(spec: ObservableSpec, names, name: str = "context") -> Context:
     return Context(name=name, rays=rays)
 
 
+def _shared_pairs(xs, ys, tol: float) -> list[tuple[int, int]]:
+    """Index pairs ``(i, j)``, row-major, with ``xs[i]`` equal to ``ys[j]`` up to phase.
+
+    ``ys=None`` pairs ``xs`` with itself and keeps ``i < j``.  Vectors of
+    different sizes never match.  One Gram matrix ``|X* Y^T|`` per size picks
+    the candidates: a pair equal within ``tol`` entrywise has
+    ``||x - c y||^2 <= n tol^2``, so for norms 1 +- 1e-10 its entry is at least
+    ``1 - n tol^2 / 2 - 1e-9``.  The Gram matrix only prefilters: at
+    ``tol = 1e-8`` the gap ``1 - |<x, y>|`` is below double rounding, so each
+    candidate is confirmed with ``equal_up_to_global_phase``.
+    """
+    upper = ys is None
+    if upper:
+        ys = xs
+    pairs = []
+    for n in {x.size for x in xs} & {y.size for y in ys}:
+        ix = [i for i, x in enumerate(xs) if x.size == n]
+        iy = ix if upper else [j for j, y in enumerate(ys) if y.size == n]
+        gram = np.abs(np.array([xs[i] for i in ix]).conj() @ np.array([ys[j] for j in iy]).T)
+        hit = gram >= 1.0 - n * tol * tol / 2 - 1e-9
+        if upper:
+            hit = np.triu(hit, 1)
+        pairs += [
+            (ix[p], iy[q])
+            for p, q in zip(*np.nonzero(hit))
+            if equal_up_to_global_phase(xs[ix[p]], ys[iy[q]], tol)
+        ]
+    return sorted(pairs)
+
+
 def links_between(c1: Context, c2: Context, tol: float = LINK_TOL) -> list[tuple[Ray, Ray]]:
     """Pairs of rays shared (up to global phase) between two contexts."""
-    out = []
-    for r1 in c1.rays:
-        for r2 in c2.rays:
-            if r1.vector.size == r2.vector.size and equal_up_to_global_phase(
-                r1.vector, r2.vector, tol
-            ):
-                out.append((r1, r2))
-    return out
+    pairs = _shared_pairs([r.vector for r in c1.rays], [r.vector for r in c2.rays], tol)
+    return [(c1.rays[i], c2.rays[j]) for i, j in pairs]
 
 
 @dataclass(frozen=True)
@@ -120,19 +146,28 @@ class ValidationReport:
 def validate_context_graph(graph: ContextGraph) -> ValidationReport:
     """Structural checks on a context graph; never raises.
 
-    Flags: non-orthonormal or wrong-size contexts, duplicate labels inside a
-    context, one label naming two different rays, two labels naming the same
-    ray, and (dimension 3) two distinct contexts sharing two or more rays.
+    Flags: non-orthonormal or wrong-size contexts, contexts mixing ray sizes,
+    duplicate labels inside a context, one label naming two different rays,
+    two labels naming the same ray, and (dimension d >= 2) two distinct
+    contexts sharing more than d - 2 rays, which no two distinct orthonormal
+    bases can.
     """
     violations: list[str] = []
     contexts = graph.contexts
     dim = contexts[0].dim
+    flat: list[tuple[int, Ray]] = []  # (context index, ray) of contexts with one ray size
 
-    for ctx in contexts:
+    for k, ctx in enumerate(contexts):
+        mixed = len({r.vector.size for r in ctx.rays}) > 1
+        if not mixed:
+            flat += [(k, r) for r in ctx.rays]
         if ctx.dim != dim:
             violations.append(
                 f"context {ctx.name!r} lives in dimension {ctx.dim}, expected {dim}"
             )
+            continue
+        if mixed:
+            violations.append(f"context {ctx.name!r} mixes ray dimensions")
             continue
         if len(ctx.rays) != dim:
             violations.append(
@@ -153,33 +188,42 @@ def validate_context_graph(graph: ContextGraph) -> ValidationReport:
                 violations.append(f"context {ctx.name!r} repeats label {r.label!r}")
             seen.add(r.label)
 
-    # Label consistency across the whole graph: a label names one ray, and
-    # one ray carries one label.
-    all_rays = [(ctx.name, r) for ctx in contexts for r in ctx.rays if ctx.dim == dim]
-    for a in range(len(all_rays)):
-        for b in range(a + 1, len(all_rays)):
-            na, ra = all_rays[a]
-            nb, rb = all_rays[b]
-            same_vec = equal_up_to_global_phase(ra.vector, rb.vector, LINK_TOL)
-            if ra.label == rb.label and not same_vec:
-                violations.append(
-                    f"label {ra.label!r} names different rays in contexts {na!r} and {nb!r}"
-                )
-            elif ra.label != rb.label and same_vec:
-                violations.append(
-                    f"labels {ra.label!r} ({na!r}) and {rb.label!r} ({nb!r}) name the same ray"
-                )
+    # Every pair of rays equal up to phase, from one Gram matrix over the graph.
+    same = set(_shared_pairs([r.vector for _, r in flat], None, LINK_TOL))
 
-    if dim == 3:
-        for a in range(len(contexts)):
-            for b in range(a + 1, len(contexts)):
-                shared = links_between(contexts[a], contexts[b])
-                if len(shared) >= 2:
-                    violations.append(
-                        f"contexts {contexts[a].name!r} and {contexts[b].name!r} share "
-                        f"{len(shared)} rays up to phase; distinct dimension-3 contexts "
-                        "may share at most one"
-                    )
+    # Label consistency across the contexts of dimension ``dim``: a label
+    # names one ray, and one ray carries one label.  Only pairs that share a
+    # label or a ray can break it.
+    inside = [contexts[k].dim == dim for k, _ in flat]
+    by_label: dict[str, list[int]] = {}
+    for a, (_, r) in enumerate(flat):
+        if inside[a]:
+            by_label.setdefault(r.label, []).append(a)
+    checked = {(a, b) for a, b in same if inside[a] and inside[b]}
+    checked.update(pair for ix in by_label.values() for pair in combinations(ix, 2))
+    for a, b in sorted(checked):
+        (ka, ra), (kb, rb) = flat[a], flat[b]
+        na, nb = contexts[ka].name, contexts[kb].name
+        same_vec = (a, b) in same
+        if ra.label == rb.label and not same_vec:
+            violations.append(
+                f"label {ra.label!r} names different rays in contexts {na!r} and {nb!r}"
+            )
+        elif ra.label != rb.label and same_vec:
+            violations.append(
+                f"labels {ra.label!r} ({na!r}) and {rb.label!r} ({nb!r}) name the same ray"
+            )
+
+    if dim >= 2:
+        shared = Counter((flat[a][0], flat[b][0]) for a, b in same if flat[a][0] != flat[b][0])
+        most = "one" if dim == 3 else str(dim - 2)
+        for (a, b), count in sorted(shared.items()):
+            if count > dim - 2:
+                violations.append(
+                    f"contexts {contexts[a].name!r} and {contexts[b].name!r} share "
+                    f"{count} rays up to phase; distinct dimension-{dim} contexts "
+                    f"may share at most {most}"
+                )
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
 

@@ -181,13 +181,14 @@ def read_json(path, from_payload):
     """Build an object from a JSON file with ``from_payload``.
 
     A file whose structure does not fit -- a missing key, a number where a
-    list or an object belongs -- raises ValueError, like a bad value does.
+    list or an object belongs, nesting too deep to parse -- raises
+    ValueError, like a bad value does.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
         return from_payload(payload)
-    except (LookupError, TypeError, AttributeError, OverflowError) as exc:
+    except (LookupError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
         raise ValueError(f"malformed file {path} ({type(exc).__name__}: {exc})") from exc
 
 

@@ -91,3 +91,23 @@ def _edge_unitaries():
 
 
 EDGE_UNITARIES = _edge_unitaries()
+
+
+# The 18 rays and 9 contexts in dimension 4 of Cabello, Estebaranz &
+# Garcia-Alcaine, Phys. Lett. A 212, 183 (1996), typed in from their 0/+-1
+# entries (normalised below).  Each ray lies in exactly two contexts.
+_CEG18_CONTEXTS = (
+    ((0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 0, 0), (1, -1, 0, 0)),
+    ((0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 1, 0), (1, 0, -1, 0)),
+    ((1, -1, 1, -1), (1, -1, -1, 1), (1, 1, 0, 0), (0, 0, 1, 1)),
+    ((1, -1, 1, -1), (1, 1, 1, 1), (1, 0, -1, 0), (0, 1, 0, -1)),
+    ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 1), (1, 0, 0, -1)),
+    ((1, -1, -1, 1), (1, 1, 1, 1), (1, 0, 0, -1), (0, 1, -1, 0)),
+    ((1, 1, -1, 1), (1, 1, 1, -1), (1, -1, 0, 0), (0, 0, 1, 1)),
+    ((1, 1, -1, 1), (-1, 1, 1, 1), (1, 0, 1, 0), (0, 1, 0, -1)),
+    ((1, 1, 1, -1), (-1, 1, 1, 1), (1, 0, 0, 1), (0, 1, -1, 0)),
+)
+CEG18 = tuple(
+    tuple(np.array(v, dtype=np.complex128) / np.linalg.norm(v) for v in ctx)
+    for ctx in _CEG18_CONTEXTS
+)

@@ -265,6 +265,24 @@ def test_contexts_unknown_name_exits_4(capsys):
     assert code == 4
 
 
+# --- hostile files -----------------------------------------------------------------
+
+DEEP_NESTING_ARGV = {
+    "simulate": ("simulate", "--net", "{f}"),
+    "decompose": ("decompose", "--in", "{f}", "--out", "{out}"),
+    "contexts": ("contexts", "--graph", "@{f}"),
+}
+
+
+@pytest.mark.parametrize("argv", DEEP_NESTING_ARGV.values(), ids=DEEP_NESTING_ARGV.keys())
+def test_deeply_nested_file_exits_4(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    code, _, err = run(capsys, *(a.format(f=deep, out=tmp_path / "net.json") for a in argv))
+    assert code == 4
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # --- JSON reporting mode --------------------------------------------------------------
 
 def test_json_mode_emits_single_record(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,9 @@ from multiport import (
     save_context_graph,
     validate_context_graph,
 )
-from multiport.numerics import dyadic
+import multiport.contexts
+from multiport.contexts import LINK_TOL
+from multiport.numerics import dyadic, equal_up_to_global_phase
 
 import refdata
 
@@ -218,3 +222,220 @@ def test_graph_file_round_trip(tmp_path):
         for ra, rb in zip(ca.rays, cb.rays):
             np.testing.assert_array_equal(ra.vector, rb.vector)
     assert validate_context_graph(back).ok
+
+
+def test_context_mixing_ray_sizes_is_one_violation():
+    mixed = Context(name="x", rays=(Ray("a", [1.0, 0.0, 0.0]), Ray("b", [0.0, 1.0])))
+    e_ctx = tripod("E", E3, ["a", "c", "d"])
+    for contexts in ((mixed,), (e_ctx, mixed), (mixed, e_ctx)):
+        report = validate_context_graph(ContextGraph(contexts=contexts))
+        assert report.violations == ("context 'x' mixes ray dimensions",)
+    assert links_between(e_ctx, mixed) == [(e_ctx.rays[0], mixed.rays[0])]
+
+
+# --- dimension 4: the Cabello-Estebaranz-Garcia-Alcaine set -----------------
+
+def ceg18_graph():
+    labels = {}
+    contexts = tuple(
+        Context(name=f"C{k}", rays=tuple(
+            Ray(labels.setdefault(v.tobytes(), f"r{len(labels)}"), v) for v in vecs))
+        for k, vecs in enumerate(refdata.CEG18)
+    )
+    return ContextGraph(contexts=contexts)
+
+
+def test_ceg18_set_validates_and_links_every_ray_twice():
+    g = ceg18_graph()
+    report = validate_context_graph(g)
+    assert report.ok, report.violations
+    ctxs = g.contexts
+    per_label = Counter()
+    for a in range(len(ctxs)):
+        for b in range(a + 1, len(ctxs)):
+            pairs = links_between(ctxs[a], ctxs[b])
+            assert len(pairs) <= 1
+            per_label.update(r1.label for r1, r2 in pairs if r1.label == r2.label)
+    assert len(per_label) == 18 and set(per_label.values()) == {1}
+
+
+def test_dimension_four_contexts_may_share_two_rays():
+    first = ceg18_graph().contexts[0]  # e4, e3, (1, 1, 0, 0), (1, -1, 0, 0)
+    e4 = np.eye(4)
+    other = Context(name="std", rays=(first.rays[0], first.rays[1],
+                                      Ray("e1", e4[0]), Ray("e2", e4[1])))
+    assert validate_context_graph(ContextGraph(contexts=(first, other))).ok
+
+
+def test_dimension_four_contexts_sharing_three_rays_are_flagged():
+    first = ceg18_graph().contexts[0]
+    three = Context(name="X", rays=tuple(
+        Ray(r.label, np.exp(0.4j) * r.vector) for r in first.rays[:3]))
+    report = validate_context_graph(ContextGraph(contexts=(first, three)))
+    assert report.violations == (
+        "context 'X' has 3 rays, expected 4",
+        "contexts 'C0' and 'X' share 3 rays up to phase; distinct dimension-4 "
+        "contexts may share at most 2",
+    )
+
+
+# --- the Gram-matrix validator against the pairwise one ---------------------
+
+def reference_links(c1, c2, tol=LINK_TOL):
+    """The pairwise link loop that the Gram-matrix prefilter replaced."""
+    return [(r1, r2) for r1 in c1.rays for r2 in c2.rays
+            if r1.vector.size == r2.vector.size
+            and equal_up_to_global_phase(r1.vector, r2.vector, tol)]
+
+
+def reference_violations(graph):
+    """The pairwise validator, with the d - 2 sharing rule for every d >= 2."""
+    violations = []
+    contexts = graph.contexts
+    dim = contexts[0].dim
+    for ctx in contexts:
+        if ctx.dim != dim:
+            violations.append(
+                f"context {ctx.name!r} lives in dimension {ctx.dim}, expected {dim}")
+            continue
+        if len(ctx.rays) != dim:
+            violations.append(f"context {ctx.name!r} has {len(ctx.rays)} rays, expected {dim}")
+        for i in range(len(ctx.rays)):
+            for j in range(i + 1, len(ctx.rays)):
+                ri, rj = ctx.rays[i], ctx.rays[j]
+                ip = abs(np.vdot(ri.vector, rj.vector))
+                if ip > 1e-10:
+                    violations.append(
+                        f"context {ctx.name!r}: rays {ri.label!r} and {rj.label!r} are not "
+                        f"orthogonal (|<.,.>| = {ip:.3e})")
+        seen = set()
+        for r in ctx.rays:
+            if r.label in seen:
+                violations.append(f"context {ctx.name!r} repeats label {r.label!r}")
+            seen.add(r.label)
+    all_rays = [(ctx.name, r) for ctx in contexts for r in ctx.rays if ctx.dim == dim]
+    for a in range(len(all_rays)):
+        for b in range(a + 1, len(all_rays)):
+            (na, ra), (nb, rb) = all_rays[a], all_rays[b]
+            same_vec = equal_up_to_global_phase(ra.vector, rb.vector, LINK_TOL)
+            if ra.label == rb.label and not same_vec:
+                violations.append(
+                    f"label {ra.label!r} names different rays in contexts {na!r} and {nb!r}")
+            elif ra.label != rb.label and same_vec:
+                violations.append(
+                    f"labels {ra.label!r} ({na!r}) and {rb.label!r} ({nb!r}) name the same ray")
+    if dim >= 2:
+        most = "one" if dim == 3 else str(dim - 2)
+        for a in range(len(contexts)):
+            for b in range(a + 1, len(contexts)):
+                shared = reference_links(contexts[a], contexts[b])
+                if len(shared) > dim - 2:
+                    violations.append(
+                        f"contexts {contexts[a].name!r} and {contexts[b].name!r} share "
+                        f"{len(shared)} rays up to phase; distinct dimension-{dim} contexts "
+                        f"may share at most {most}")
+    return tuple(violations)
+
+
+NEAR_TOL = (1e-10, 3e-9, 7e-9, 9e-9, 1.1e-8, 1.5e-8, 3e-8, 1e-7)
+
+
+def random_graph(rng, d):
+    """Contexts that share rays with earlier ones, perturbed around LINK_TOL
+    and rephased, with relabelled, reused and repeated labels mixed in."""
+    def haar(n, first=None):
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if first is not None:
+            z[:, :first.shape[1]] = first
+        q, r = np.linalg.qr(z)
+        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    def phase():
+        return np.exp(2j * np.pi * rng.random())
+
+    bases, names = [], []
+    for k in range(int(rng.integers(2, 7))):
+        roll = rng.random()
+        same_dim = [i for i, b in enumerate(bases) if b.shape[0] == d]
+        if roll < 0.08:  # wrong dimension
+            n = max(1, d + int(rng.choice((-1, 1))))
+            basis, labels = haar(n), [f"w{k}.{i}" for i in range(n)]
+        elif same_dim and roll < 0.25:  # an earlier basis, permuted and rephased
+            src = int(rng.choice(same_dim))
+            perm = rng.permutation(d)
+            basis = bases[src][:, perm] * np.array([phase() for _ in range(d)])
+            labels = [names[src][i] for i in perm]
+        elif same_dim and roll < 0.75:  # share some rays, perturbed near LINK_TOL
+            src = int(rng.choice(same_dim))
+            m = int(rng.integers(1, d + 1))
+            cols = rng.permutation(d)[:m]
+            delta = float(rng.choice(NEAR_TOL))
+            kick = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+            shared = bases[src][:, cols] + delta * kick / np.abs(kick)
+            basis = haar(d, shared / np.linalg.norm(shared, axis=0))
+            basis = basis * np.array([phase() for _ in range(d)])
+            labels = [names[src][i] for i in cols] + [f"n{k}.{i}" for i in range(m, d)]
+        else:
+            basis, labels = haar(d), [f"n{k}.{i}" for i in range(d)]
+        for i in range(len(labels)):  # label clashes
+            u = rng.random()
+            if u < 0.06:
+                labels[i] = f"fresh{k}.{i}"
+            elif u < 0.12 and names:
+                labels[i] = str(rng.choice(names[int(rng.integers(len(names)))]))
+            elif u < 0.15:
+                labels[i] = labels[0]
+        bases.append(basis)
+        names.append(labels)
+    contexts = tuple(
+        Context(name=f"C{k}", rays=tuple(Ray(l, basis[:, i]) for i, l in enumerate(labels)))
+        for k, (basis, labels) in enumerate(zip(bases, names))
+    )
+    return ContextGraph(contexts=contexts)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_gram_validator_matches_pairwise_reference(d):
+    rng = np.random.default_rng(1000 + d)
+    kinds = Counter()
+    for _ in range(60):
+        g = random_graph(rng, d)
+        got = validate_context_graph(g).violations
+        assert got == reference_violations(g)
+        kinds.update(v.split(" ")[0] for v in got)
+        for c1 in g.contexts:
+            for c2 in g.contexts:
+                assert links_between(c1, c2) == reference_links(c1, c2)
+    # The generator reaches every cross-context verdict ("contexts ... share").
+    assert {"label", "labels", "contexts"} <= set(kinds), kinds
+
+
+def chain_graph(rng, length):
+    """A valid chain of dimension-3 contexts, neighbours sharing one ray."""
+    contexts, prev, prev_label = [], None, "s0"
+    for k in range(length):
+        z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        if prev is not None:
+            z[:, 0] = prev
+        q = np.linalg.qr(z)[0]
+        if prev is not None:
+            q[:, 0] = prev  # QR returns it up to sign
+        labels = (prev_label, f"p{k}", f"s{k + 1}")
+        contexts.append(Context(name=f"C{k}", rays=tuple(
+            Ray(l, q[:, i]) for i, l in enumerate(labels))))
+        prev, prev_label = q[:, 2], labels[2]
+    return ContextGraph(contexts=tuple(contexts))
+
+
+def test_validation_makes_linear_number_of_exact_comparisons(monkeypatch):
+    calls = []
+
+    def counting(a, b, tol):
+        calls.append(tol)
+        return equal_up_to_global_phase(a, b, tol)
+
+    monkeypatch.setattr(multiport.contexts, "equal_up_to_global_phase", counting)
+    g = chain_graph(np.random.default_rng(20), 20)
+    assert validate_context_graph(g).ok
+    # 60 rays make 1770 pairs; only the 19 shared rays need the exact check.
+    assert 0 < len(calls) <= 4 * len(g.contexts)
