@@ -5,8 +5,9 @@ in all user-facing input and output; angles are decimal radians.  Numeric
 text output uses 12 significant digits.  Setting the environment variable
 REPORT_JSON=1 switches stdout to single JSON records (full float precision).
 
-Exit codes: 0 success, 2 usage error, 3 unreadable input file,
-4 numeric/validation failure.
+Exit codes: 0 success, 2 usage error, 3 missing or unreadable input file or
+text that is not JSON, 4 numeric/validation failure or a file of the wrong
+structure.
 """
 
 from __future__ import annotations

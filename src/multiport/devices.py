@@ -135,35 +135,42 @@ class MzParams:
         object.__setattr__(self, "phi", wrap_angle(f))
 
 
+def _t_block(omega: float, phi: float) -> tuple:
+    """Entries of T(omega, phi) as nested tuples of Python numbers."""
+    s, c = math.sin(omega), math.cos(omega)
+    ph = cmath.exp(-1j * phi)
+    return ((s, c), (ph * c, -ph * s))
+
+
 def t_matrix(p: TParams) -> np.ndarray:
     """Matrix of the bare cell T(omega, phi)."""
-    s, c = math.sin(p.omega), math.cos(p.omega)
-    ph = cmath.exp(-1j * p.phi)
-    return np.array([[s, c], [ph * c, -ph * s]], dtype=np.complex128)
+    return np.array(_t_block(p.omega, p.phi), dtype=np.complex128)
 
 
-def apply_two_port(m: np.ndarray, p: int, q: int, block: np.ndarray) -> None:
+def apply_two_port(m: np.ndarray, p: int, q: int, block) -> None:
     """Multiply rows ``p`` and ``q`` of ``m`` in place by a 2x2 block.
 
     The effect is ``m[[p, q]] = block @ m[[p, q]]``; ``m`` is a matrix or a
-    vector, and ``m.T`` acts on columns.  The one way a cell is applied.
+    vector, and ``m.T`` acts on columns.  ``block`` is a 2x2 array or nested
+    pairs of numbers.  The one way a cell is applied.
     """
-    m[[p, q]] = block @ m[[p, q]]
+    (a, b), (c, d) = block
+    x, y = m[p], m[q]
+    m[p], m[q] = a * x + b * y, c * x + d * y
+
+
+def _bs_block(omega: float, alpha: float, beta: float, phi: float) -> tuple:
+    """Entries of T_bs(omega, alpha, beta, phi) as nested tuples of Python numbers."""
+    s, c = math.sin(omega), math.cos(omega)
+    ea = cmath.exp(1j * alpha)
+    eb = cmath.exp(1j * beta)
+    ef = cmath.exp(1j * phi)
+    return ((1j * ea * eb * ef * s, eb * ef * c), (ea * eb * c, 1j * eb * s))
 
 
 def t_bs(p: BsParams) -> np.ndarray:
     """Decorated beam splitter, closed form."""
-    s, c = math.sin(p.omega), math.cos(p.omega)
-    ea = cmath.exp(1j * p.alpha)
-    eb = cmath.exp(1j * p.beta)
-    ef = cmath.exp(1j * p.phi)
-    return np.array(
-        [
-            [1j * ea * eb * ef * s, eb * ef * c],
-            [ea * eb * c, 1j * eb * s],
-        ],
-        dtype=np.complex128,
-    )
+    return np.array(_bs_block(p.omega, p.alpha, p.beta, p.phi), dtype=np.complex128)
 
 
 def t_bs_product(p: BsParams) -> np.ndarray:

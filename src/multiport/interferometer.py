@@ -2,14 +2,17 @@
 
 Element kinds
 -------------
-* ``bs``   -- decorated beam splitter on ports (p, q) with transmission T
-              (T = cos^2 of the mixing angle) and phases alpha, beta, phi.
+* ``bs``   -- decorated beam splitter on ports (p, q) with mixing angle
+              omega in [0, pi/2] and phases alpha, beta, phi; the matrix is
+              ``t_bs``.  The transmission T = cos^2 omega is derived from the
+              stored omega, never stored: inverting T loses omega near T = 1.
 * ``ps``   -- single phase shifter on port p.
 * ``diag`` -- one phase per port (a full phase layer).
 
 ``simulate`` applies elements in passage order: the first element of the
 list hits the input state first.  Ports are 0-based in memory and 1-based
-in files and rendered output.
+in files and rendered output.  Netlist files write ``"omega"``; a ``bs``
+with only ``"T"`` (the older format) is still read.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .decompose import Factorization
-from .devices import BsParams, apply_two_port, fit_bs, omega_from_transmission, t_bs, t_matrix, transmission
+from .devices import _bs_block, _checked_mixing, apply_two_port, omega_from_transmission, transmission, wrap_angle
 from .numerics import as_vector, read_json, write_json
 
 __all__ = [
@@ -44,6 +47,7 @@ __all__ = [
 
 _KINDS = ("bs", "ps", "diag")
 MAX_FILE_DIM = 4096  # largest netlist dim read from a file, checked before any allocation
+_HALF_PI = 0.5 * math.pi
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,7 @@ class Element:
     kind: str
     p: Optional[int] = None
     q: Optional[int] = None
-    T: Optional[float] = None
+    omega: Optional[float] = None
     alpha: float = 0.0
     beta: float = 0.0
     phi: float = 0.0
@@ -64,12 +68,11 @@ class Element:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown element kind {self.kind!r}; expected one of {_KINDS}")
         if self.kind == "bs":
-            if self.p is None or self.q is None or self.T is None:
-                raise ValueError("bs element needs ports p, q and transmission T")
+            if self.p is None or self.q is None or self.omega is None:
+                raise ValueError("bs element needs ports p, q and mixing angle omega")
             if not 0 <= self.p < self.q:
                 raise ValueError(f"bs ports must satisfy 0 <= p < q, got ({self.p}, {self.q})")
-            if not 0.0 <= self.T <= 1.0:
-                raise ValueError(f"transmission must lie in [0, 1], got {self.T!r}")
+            object.__setattr__(self, "omega", _checked_mixing(self.omega, _HALF_PI))
             for ang in (self.alpha, self.beta, self.phi):
                 if not math.isfinite(float(ang)):
                     raise ValueError("bs phases must be finite")
@@ -87,9 +90,17 @@ class Element:
             if any(not math.isfinite(x) for x in self.phases):
                 raise ValueError("diag phases must be finite")
 
+    @property
+    def T(self) -> Optional[float]:
+        """Transmission cos^2(omega) of a ``bs``; None for the other kinds."""
+        return None if self.omega is None else transmission(self.omega)
+
 
 def beam_splitter(p: int, q: int, T: float, alpha: float = 0.0, beta: float = 0.0, phi: float = 0.0) -> Element:
-    return Element(kind="bs", p=int(p), q=int(q), T=float(T), alpha=float(alpha), beta=float(beta), phi=float(phi))
+    """A ``bs`` with transmission ``T`` in [0, 1], stored as omega = acos(sqrt(T))."""
+    return Element(
+        kind="bs", p=int(p), q=int(q), omega=omega_from_transmission(T), alpha=float(alpha), beta=float(beta), phi=float(phi)
+    )
 
 
 def phase_shifter(p: int, phase: float) -> Element:
@@ -125,8 +136,7 @@ class Netlist:
 def _apply_element(e: Element, m: np.ndarray) -> None:
     """Apply one element in place to the rows of a matrix or a vector."""
     if e.kind == "bs":
-        omega = omega_from_transmission(e.T)
-        apply_two_port(m, e.p, e.q, t_bs(BsParams(omega, e.alpha, e.beta, e.phi)))
+        apply_two_port(m, e.p, e.q, _bs_block(e.omega, e.alpha, e.beta, e.phi))
     elif e.kind == "ps":
         m[e.p] *= cmath.exp(1j * e.phase)
     else:  # diag: row k picks up exp(i * phases[k])
@@ -142,23 +152,25 @@ def netlist_from_factorization(f: Factorization) -> Netlist:
     """Compile a factorization into a physical netlist.
 
     The compiled transfer matrix equals ``reconstruct(f)``: each factor's
-    adjoint block becomes one beam splitter (fitted for its alpha/beta/phi
-    decorations), in passage order T_1 then T_2 ...; one final diag layer
-    realizes the adjoint of the factorization's diagonal.  The diag layer is
-    always present, even when every phase is zero, so the layout is uniform.
+    adjoint block becomes one beam splitter with the factor's own mixing angle,
+    in passage order T_1 then T_2 ..., using the closed form
+    T(omega, phi)^dagger = T_bs(omega, -phi - pi/2, phi + pi/2, -pi/2); one
+    final diag layer realizes the adjoint of the factorization's diagonal.
+    The diag layer is always present, even when every phase is zero, so the
+    layout is uniform.
     """
     elements = []
     for fac in f.factors:
-        block = t_matrix(fac.params).conj().T
-        bp = fit_bs(block)
+        phi = fac.params.phi
         elements.append(
-            beam_splitter(
+            Element(
+                kind="bs",
                 p=fac.p,
                 q=fac.q,
-                T=transmission(bp.omega),
-                alpha=bp.alpha,
-                beta=bp.beta,
-                phi=bp.phi,
+                omega=fac.params.omega,
+                alpha=wrap_angle(-phi - _HALF_PI),
+                beta=wrap_angle(phi + _HALF_PI),
+                phi=-_HALF_PI,
             )
         )
     elements.append(phase_layer(tuple(-d for d in f.diagonal)))
@@ -251,9 +263,10 @@ def _render_svg(nl: Netlist) -> str:
 #
 # Files carry 1-based ports:
 # {"dim": n, "elements": [
-#    {"kind": "bs", "p": .., "q": .., "T": .., "alpha": .., "beta": .., "phi": ..}
+#    {"kind": "bs", "p": .., "q": .., "omega": .., "alpha": .., "beta": .., "phi": ..}
 #  | {"kind": "ps", "p": .., "phase": ..}
 #  | {"kind": "diag", "phases": [..]} ]}
+# A bs without "omega" takes it from "T" (transmission, the older format).
 
 
 def netlist_to_payload(nl: Netlist) -> dict:
@@ -265,7 +278,7 @@ def netlist_to_payload(nl: Netlist) -> dict:
                     "kind": "bs",
                     "p": e.p + 1,
                     "q": e.q + 1,
-                    "T": float(e.T),
+                    "omega": float(e.omega),
                     "alpha": float(e.alpha),
                     "beta": float(e.beta),
                     "phi": float(e.phi),
@@ -289,11 +302,13 @@ def netlist_from_payload(payload: dict) -> Netlist:
             p, q = int(item["p"]), int(item["q"])
             if not 1 <= p < q <= dim:
                 raise ValueError(f"file bs ports ({p}, {q}) invalid for dim {dim} (1-based)")
+            omega = item["omega"] if "omega" in item else omega_from_transmission(item["T"])
             elements.append(
-                beam_splitter(
+                Element(
+                    kind="bs",
                     p=p - 1,
                     q=q - 1,
-                    T=float(item["T"]),
+                    omega=float(omega),
                     alpha=float(item.get("alpha", 0.0)),
                     beta=float(item.get("beta", 0.0)),
                     phi=float(item.get("phi", 0.0)),

@@ -69,9 +69,17 @@ PHI_OUT = np.array([0.0, -R6, R6, 0.0, -R6, -R6, R3, 0.0, 0.0],
                    dtype=np.complex128)
 
 
+def near_permutation(rng, n, eps):
+    """P exp(i eps H): a port permutation times a small rotation (H a GUE matrix),
+    so the mixing angles the elimination meets lie within about eps of 0 and pi/2."""
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    return np.eye(n)[rng.permutation(n)] @ (v * np.exp(1j * eps * w)) @ v.conj().T
+
+
 # Regimes Haar sampling misses, built from plain numpy with a fixed seed: a
-# port permutation times exp(1e-3 i H) (mixing angles near 0 and pi/2), a
-# direct sum of 4x4 Haar blocks (most cells skipped), and dimension 1.
+# near-permutation at eps = 1e-3, a direct sum of 4x4 Haar blocks (most cells
+# skipped), and dimension 1.
 def _edge_unitaries():
     rng = np.random.default_rng(2718)
 
@@ -80,9 +88,7 @@ def _edge_unitaries():
         d = np.diagonal(r)
         return q * (d / np.abs(d))
 
-    a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    near_perm = np.eye(12)[rng.permutation(12)] @ (v * np.exp(1e-3j * w)) @ v.conj().T
+    near_perm = near_permutation(rng, 12, 1e-3)
     block_diag = np.zeros((12, 12), dtype=np.complex128)
     for k in (0, 4, 8):
         block_diag[k:k + 4, k:k + 4] = haar(4)

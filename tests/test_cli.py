@@ -72,6 +72,16 @@ def test_decompose_verb(tmp_path, capsys):
     assert np.max(np.abs(transfer_matrix(back) - refdata.U2_4)) <= 1e-10
 
 
+def test_decompose_near_permutation_reports_error_within_contract(tmp_path, capsys):
+    mat = tmp_path / "u.json"
+    save_matrix(mat, refdata.near_permutation(np.random.default_rng(16), 16, 1e-9))
+    code, out, _ = run(capsys, "decompose", "--in", str(mat), "--out", str(tmp_path / "net.json"))
+    assert code == 0
+    line = out.splitlines()[3]
+    assert line.startswith("max reconstruction error ")
+    assert float(line.split()[-1]) <= 1e-10
+
+
 def test_decompose_missing_file_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "decompose", "--in", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "net.json"))
@@ -209,6 +219,8 @@ def test_simulate_missing_net_exits_3(tmp_path, capsys):
 GARBLED_NETLISTS = {
     "ps-with-phi": {"dim": 2, "elements": [{"kind": "ps", "p": 1, "phi": 0.3}]},
     "bs-without-T": {"dim": 2, "elements": [{"kind": "bs", "p": 1, "q": 2}]},
+    "bs-omega-out-of-range": {"dim": 2, "elements": [{"kind": "bs", "p": 1, "q": 2, "omega": 2.0}]},
+    "bs-omega-not-finite": {"dim": 2, "elements": [{"kind": "bs", "p": 1, "q": 2, "omega": float("nan")}]},
     "bare-number-element": {"dim": 2, "elements": [0.5]},
 }
 

@@ -20,6 +20,7 @@ from multiport import (
     unitarity_deviation,
     wrap_angle,
 )
+from multiport.devices import apply_two_port
 
 import refdata
 
@@ -128,6 +129,30 @@ def test_bridge_reproduces_t_matrix_on_grid():
             worst_mz = max(worst_mz, np.max(np.abs(t_mz(pmz) - target)))
     assert worst_bs <= 1e-13
     assert worst_mz <= 1e-13
+
+
+# --- the two-port kernel ----------------------------------------------------
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+KERNEL_TARGETS = {
+    "matrix": lambda rng: _complex(rng, (5, 4)),
+    "vector": lambda rng: _complex(rng, 5),
+    "transposed-view": lambda rng: _complex(rng, (4, 5)).T,
+}
+
+
+@pytest.mark.parametrize("as_tuple", [False, True], ids=["ndarray-block", "tuple-block"])
+@pytest.mark.parametrize("make", KERNEL_TARGETS.values(), ids=KERNEL_TARGETS.keys())
+def test_apply_two_port_matches_block_product(make, as_tuple):
+    m = make(np.random.default_rng(11))
+    block = t_bs(BsParams(0.4, 1.0, -2.0, 0.3))
+    want = m.copy()
+    want[[1, 3]] = block @ want[[1, 3]]
+    apply_two_port(m, 1, 3, tuple(map(tuple, block)) if as_tuple else block)
+    assert np.max(np.abs(m - want)) <= 1e-15
 
 
 # --- named gates ------------------------------------------------------------

@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import json
 
 import numpy as np
@@ -5,7 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiport import (
+    Element,
+    Factorization,
     Netlist,
+    TFactor,
     TParams,
     beam_splitter,
     bell_state,
@@ -25,6 +30,7 @@ from multiport import (
     transfer_matrix,
     unitarity_deviation,
 )
+from multiport.interferometer import netlist_to_payload
 
 import refdata
 
@@ -111,19 +117,81 @@ def test_preparation_netlist_reaches_singlet():
     assert equal_up_to_global_phase(out, bell_state(4), 1e-10)
 
 
-COMPILE_INPUTS = [pytest.param(random_unitary(n, 500 + n), id=str(n)) for n in (2, 3, 4, 6)]
-COMPILE_INPUTS += [pytest.param(u, id=k) for k, u in refdata.EDGE_UNITARIES.items()]
-
-
-@pytest.mark.parametrize("u", COMPILE_INPUTS)
-def test_compiled_transfer_matches_source_unitary(u):
+def assert_netlist_reproduces(u, path):
+    """The compiled netlist, its simulated columns and its file copy are all within 1e-10 of u."""
     n = len(u)
-    f = decompose(u)
-    assert np.max(np.abs(reconstruct(f) - u)) <= 1e-10
-    nl = netlist_from_factorization(f)
+    nl = netlist_from_factorization(decompose(u))
     assert np.max(np.abs(transfer_matrix(nl) - u)) <= 1e-10
     for k in range(n):
         assert np.max(np.abs(simulate(nl, np.eye(n)[:, k]) - u[:, k])) <= 1e-10
+    save_netlist(path, nl)
+    assert np.max(np.abs(transfer_matrix(load_netlist(path)) - u)) <= 1e-10
+
+
+def mesh_unitary(n, omegas, seed):
+    """reconstruct of a full triangle of cells whose mixing angles cycle through ``omegas``."""
+    rng = np.random.default_rng(seed)
+    ports = [(j, i) for i in range(n - 1, 0, -1) for j in range(i)]
+    factors = [
+        TFactor(p, q, TParams(w, rng.uniform(-np.pi, np.pi)))
+        for (p, q), w in zip(ports, itertools.cycle(omegas))
+    ]
+    return reconstruct(Factorization(n, tuple(factors), tuple(rng.uniform(-np.pi, np.pi, n))))
+
+
+SMALL_ANGLES = (1e-12, 1e-8, 1e-7)
+COMPILE_INPUTS = [pytest.param(random_unitary(n, 500 + n), id=str(n)) for n in (2, 3, 4, 6)]
+COMPILE_INPUTS += [pytest.param(u, id=k) for k, u in refdata.EDGE_UNITARIES.items()]
+COMPILE_INPUTS += [
+    pytest.param(refdata.near_permutation(np.random.default_rng(61), 6, eps), id=f"nearperm6-{eps:g}")
+    for eps in (1e-9, 1e-6)
+]
+COMPILE_INPUTS += [
+    pytest.param(mesh_unitary(5, SMALL_ANGLES, 7), id="angles-near-0"),
+    pytest.param(mesh_unitary(5, [np.pi / 2 - d for d in SMALL_ANGLES], 8), id="angles-near-pi/2"),
+    pytest.param(mesh_unitary(5, (1e-9, np.pi / 2 - 1e-9), 9), id="angles-near-both"),
+]
+
+
+@pytest.mark.parametrize("u", COMPILE_INPUTS)
+def test_compiled_transfer_matches_source_unitary(u, tmp_path):
+    assert np.max(np.abs(reconstruct(decompose(u)) - u)) <= 1e-10
+    assert_netlist_reproduces(u, tmp_path / "net.json")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-12.0, -3.0))
+def test_near_swap_splitter_survives_compile_and_file(tmp_path_factory, log_eps):
+    eps = 10.0**log_eps
+    c = np.sqrt(1.0 - eps**2)
+    u = np.array([[eps, c], [c, -eps]], dtype=np.complex128)
+    assert_netlist_reproduces(u, tmp_path_factory.mktemp("net") / "net.json")
+
+
+def test_round_trip_makes_one_unitarity_check_and_no_fits(monkeypatch):
+    counted = ("unitarity_deviation", "fit_bs", "omega_from_transmission")
+    calls = dict.fromkeys(counted, 0)
+
+    def counter(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in ("decompose", "devices", "interferometer"):
+        mod = importlib.import_module(f"multiport.{module}")
+        for name in counted:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counter(name, getattr(mod, name)))
+    for n in (4, 16):
+        calls.update(dict.fromkeys(counted, 0))
+        u = random_unitary(n, 40 + n)
+        f = decompose(u)
+        reconstruct(f)
+        nl = netlist_from_factorization(f)
+        transfer_matrix(nl)
+        simulate(nl, np.eye(n)[:, 0])
+        assert calls == {"unitarity_deviation": 1, "fit_bs": 0, "omega_from_transmission": 0}, n
 
 
 def test_simulate_leaves_the_input_untouched():
@@ -184,6 +252,43 @@ def test_netlist_file_round_trip(tmp_path):
     payload = json.loads(path.read_text())
     bs_entries = [e for e in payload["elements"] if e["kind"] == "bs"]
     assert bs_entries and all(e["p"] >= 1 and e["q"] >= 2 for e in bs_entries)
+
+
+def test_transmission_only_netlist_file_still_loads(tmp_path):
+    u = random_unitary(4, 77)
+    nl = netlist_from_factorization(decompose(u))
+    payload = netlist_to_payload(nl)
+    for item in payload["elements"]:
+        if item["kind"] == "bs":
+            item["T"] = float(np.cos(item.pop("omega")) ** 2)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(payload))
+    back = load_netlist(path)
+    assert np.max(np.abs(transfer_matrix(back) - u)) <= 1e-10
+    assert np.max(np.abs(simulate(back, np.eye(4)[:, 2]) - u[:, 2])) <= 1e-10
+
+    path.write_text(json.dumps({"dim": 2, "elements": [{"kind": "bs", "p": 1, "q": 2, "T": 0.5}]}))
+    np.testing.assert_allclose(simulate(load_netlist(path), [1.0, 0.0]),
+                               [1j * refdata.H, refdata.H], atol=1e-15)
+
+
+def test_omega_wins_over_transmission_in_a_file(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"dim": 2, "elements": [
+        {"kind": "bs", "p": 1, "q": 2, "T": 1.0, "omega": 0.25}]}))
+    (e,) = load_netlist(path).elements
+    assert e.omega == 0.25
+    assert e.T == pytest.approx(np.cos(0.25) ** 2)
+
+
+def test_bs_element_stores_omega_and_derives_transmission():
+    e = beam_splitter(p=0, q=1, T=0.25)
+    assert e.omega == pytest.approx(np.pi / 3)
+    assert e.T == pytest.approx(0.25)
+    assert Element(kind="bs", p=0, q=1, omega=-1e-13).omega == 0.0
+    for bad in (2.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Element(kind="bs", p=0, q=1, omega=bad)
 
 
 def test_netlist_file_dim_is_capped(tmp_path):
