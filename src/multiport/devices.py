@@ -1,5 +1,6 @@
 """Two-port cell algebra: the elimination cell, the decorated beam splitter,
-and the Mach-Zehnder realization, plus parameter fitting between them.
+and the Mach-Zehnder realization, plus parameter fitting between them; and
+the kernel that applies cells, one at a time or a layer of them at once.
 
 Conventions
 -----------
@@ -34,6 +35,9 @@ __all__ = [
     "MzParams",
     "t_matrix",
     "apply_two_port",
+    "schedule",
+    "layer_steps",
+    "apply_layers",
     "t_bs",
     "t_bs_product",
     "t_mz",
@@ -77,6 +81,29 @@ def _checked_phase(x: float) -> float:
     if not math.isfinite(f):
         raise ValueError("phase must be finite")
     return wrap_angle(f)
+
+
+# The same three rules elementwise, for the cell arrays of a whole mesh.
+
+
+def _wrap(x: np.ndarray) -> np.ndarray:
+    w = np.fmod(x, _TWO_PI)
+    return np.where(w <= -math.pi, w + _TWO_PI, np.where(w > math.pi, w - _TWO_PI, w))
+
+
+def _checked_mixings(omega: np.ndarray, hi: float) -> np.ndarray:
+    if not np.isfinite(omega).all():
+        raise ValueError("mixing angle must be finite")
+    bad = np.flatnonzero((omega < -_RANGE_SLOP) | (omega > hi + _RANGE_SLOP))
+    if bad.size:
+        raise ValueError(f"mixing angle {float(omega[bad[0]])!r} outside [0, {hi!r}]")
+    return np.minimum(np.maximum(omega, 0.0), hi)
+
+
+def _checked_phases(x: np.ndarray) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise ValueError("phase must be finite")
+    return _wrap(x)
 
 
 @dataclass(frozen=True)
@@ -135,10 +162,10 @@ class MzParams:
         object.__setattr__(self, "phi", wrap_angle(f))
 
 
-def _t_block(omega: float, phi: float) -> tuple:
-    """Entries of T(omega, phi) as nested tuples of Python numbers."""
-    s, c = math.sin(omega), math.cos(omega)
-    ph = cmath.exp(-1j * phi)
+def _t_block(omega, phi) -> tuple:
+    """Entries of T(omega, phi) as nested pairs; numbers, or arrays for many cells at once."""
+    s, c = np.sin(omega), np.cos(omega)
+    ph = np.exp(-1j * phi)
     return ((s, c), (ph * c, -ph * s))
 
 
@@ -152,19 +179,138 @@ def apply_two_port(m: np.ndarray, p: int, q: int, block) -> None:
 
     The effect is ``m[[p, q]] = block @ m[[p, q]]``; ``m`` is a matrix or a
     vector, and ``m.T`` acts on columns.  ``block`` is a 2x2 array or nested
-    pairs of numbers.  The one way a cell is applied.
+    pairs of numbers.  For a layer of cells at once, ``p`` and ``q`` are
+    equal-length integer arrays of distinct ports and the four entries are
+    arrays that broadcast against ``m[p]``.  The one way a cell is applied.
     """
     (a, b), (c, d) = block
     x, y = m[p], m[q]
     m[p], m[q] = a * x + b * y, c * x + d * y
 
 
-def _bs_block(omega: float, alpha: float, beta: float, phi: float) -> tuple:
-    """Entries of T_bs(omega, alpha, beta, phi) as nested tuples of Python numbers."""
-    s, c = math.sin(omega), math.cos(omega)
-    ea = cmath.exp(1j * alpha)
-    eb = cmath.exp(1j * beta)
-    ef = cmath.exp(1j * phi)
+# --- layers ---------------------------------------------------------------
+#
+# A mesh is a list of elements in passage order, held as columns: a kind
+# code per element and its ports p, q.  TWO is a 2x2 block on rows (p, q),
+# ONE a phase factor on row p, ALL a phase factor on every row.
+
+TWO, ONE, ALL = 0, 1, 2
+
+
+def schedule(kind: np.ndarray, p: np.ndarray, q: np.ndarray, dim: int) -> np.ndarray:
+    """ASAP layer (1-based) of each element: 1 + the latest layer on its ports.
+
+    An ALL element is a barrier: it takes a layer of its own above every
+    earlier one.  The elements of one layer act on distinct rows, so they
+    commute, and applying the layers in turn equals applying the list in order.
+    """
+    latest = [0] * dim
+    layers = []
+    for k, i, j in zip(kind.tolist(), p.tolist(), q.tolist()):
+        if k == TWO:
+            a, b = latest[i], latest[j]
+            layer = (a if a > b else b) + 1
+            latest[i] = latest[j] = layer
+        elif k == ONE:
+            layer = latest[i] = latest[i] + 1
+        else:
+            layer = max(latest) + 1
+            latest = [layer] * dim
+        layers.append(layer)
+    return np.array(layers, dtype=np.int64)
+
+
+def layer_steps(layers, kind, p, q, block, rows) -> list:
+    """Steps for ``apply_layers``: one per layer and kind, in layer order.
+
+    ``block`` holds the entries (a, b, c, d) of each TWO element as arrays
+    indexed like ``kind``; ``a`` also holds the factor of each ONE element.
+    ``rows[r]`` holds the per-row factors of the r-th ALL element.  A layer of
+    one cell keeps plain ports and numbers for the scalar kernel.
+    """
+    key = 3 * layers + kind
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    ps, qs = p[order], q[order]
+    a, b, c, d = (x[order][:, None] for x in block)
+    row_of = np.cumsum(kind == ALL)[order] - 1
+    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+    steps = []
+    for lo, hi in zip(starts, starts[1:] + [len(key)]):
+        k = key[lo] % 3
+        if k == ALL:
+            steps.append((slice(None), None, rows[row_of[lo]][:, None]))
+        elif k == ONE:
+            steps.append((ps[lo:hi], None, a[lo:hi]))
+        elif hi - lo == 1:
+            steps.append((int(ps[lo]), int(qs[lo]), ((a[lo, 0], b[lo, 0]), (c[lo, 0], d[lo, 0]))))
+        else:
+            s = slice(lo, hi)
+            steps.append((ps[s], qs[s], ((a[s], b[s]), (c[s], d[s]))))
+    return steps
+
+
+def apply_layers(m: np.ndarray, steps) -> None:
+    """Apply ``layer_steps`` in place to the rows of a matrix or a vector."""
+    rows = m if m.ndim == 2 else m[:, None]
+    for p, q, coef in steps:
+        if q is None:
+            rows[p] *= coef
+        else:
+            apply_two_port(rows, p, q, coef)
+
+
+class _Mesh:
+    """What ``Factorization`` and ``Netlist`` share, each part built once per object.
+
+    A subclass is a frozen dataclass holding ``dim`` and the columns ``kind``,
+    ``p`` and ``q``.  It names its tuple view in ``_view`` and builds it in
+    ``_build_view``; ``_coefficients()`` returns the ``block`` and ``rows``
+    that ``layer_steps`` takes.
+    """
+
+    _view = ""
+
+    def _once(self, name: str, build):
+        try:
+            return self.__dict__[name]
+        except KeyError:
+            value = build()
+            object.__setattr__(self, name, value)
+            return value
+
+    def __getattr__(self, name):
+        if name != self._view:
+            raise AttributeError(name)
+        return self._once(name, self._build_view)
+
+    @property
+    def depth(self) -> int:
+        """Number of layers the ASAP schedule applies the elements in."""
+        return int(self._layers().max(initial=0))
+
+    def _layers(self) -> np.ndarray:
+        return self._once("_layer_of", lambda: schedule(self.kind, self.p, self.q, self.dim))
+
+    def _steps(self) -> list:
+        return self._once(
+            "_layer_steps", lambda: layer_steps(self._layers(), self.kind, self.p, self.q, *self._coefficients())
+        )
+
+
+def _trusted(cls, **fields):
+    """An instance of a frozen dataclass from fields already checked, skipping ``__post_init__``."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
+def _bs_block(omega, alpha, beta, phi) -> tuple:
+    """Entries of T_bs(omega, alpha, beta, phi) as nested pairs; numbers, or arrays."""
+    s, c = np.sin(omega), np.cos(omega)
+    ea = np.exp(1j * alpha)
+    eb = np.exp(1j * beta)
+    ef = np.exp(1j * phi)
     return ((1j * ea * eb * ef * s, eb * ef * c), (ea * eb * c, 1j * eb * s))
 
 

@@ -10,14 +10,18 @@ Element kinds
 * ``diag`` -- one phase per port (a full phase layer).
 
 ``simulate`` applies elements in passage order: the first element of the
-list hits the input state first.  Ports are 0-based in memory and 1-based
-in files and rendered output.  Netlist files write ``"omega"``; a ``bs``
-with only ``"T"`` (the older format) is still read.
+list hits the input state first.  ``transfer_matrix`` and ``simulate`` apply
+a netlist layer by layer: an ASAP schedule, built once per netlist, puts
+each element one layer above the latest element on its ports (a ``diag`` is
+a barrier), and each layer is one array step.  A mesh compiled from a
+dense n x n unitary has depth 2n-2: 2n-3 layers of cells plus the final
+``diag``.  Ports are 0-based in memory and 1-based in files and rendered
+output.  Netlist files write ``"omega"``; a ``bs`` with only ``"T"`` (the
+older format) is still read.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -25,7 +29,19 @@ from typing import Optional
 import numpy as np
 
 from .decompose import Factorization
-from .devices import _bs_block, _checked_mixing, apply_two_port, omega_from_transmission, transmission, wrap_angle
+from .devices import (
+    ALL,
+    ONE,
+    TWO,
+    _Mesh,
+    _bs_block,
+    _checked_mixing,
+    _trusted,
+    _wrap,
+    apply_layers,
+    omega_from_transmission,
+    transmission,
+)
 from .numerics import as_vector, read_json, write_json
 
 __all__ = [
@@ -112,35 +128,89 @@ def phase_layer(phases) -> Element:
 
 
 @dataclass(frozen=True)
-class Netlist:
-    """Ordered elements on ``dim`` ports; all port references must fit."""
+class Netlist(_Mesh):
+    """Ordered elements on ``dim`` ports; all port references must fit.
+
+    The elements are held as read-only columns, port bounds checked once per
+    array: ``kind`` (0 bs, 1 ps, 2 diag), ports ``p`` and ``q`` (-1 where a kind has
+    none), ``angles`` (omega, alpha, beta, phi of a bs; a ps's phase in the
+    first column) and ``phases``, one row per diag element in order.
+    ``elements`` is a tuple view of ``Element`` objects, built on first use.
+    """
 
     dim: int
     elements: tuple[Element, ...]
+    _view = "elements"
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("netlist dimension must be >= 1")
-        object.__setattr__(self, "elements", tuple(self.elements))
-        for e in self.elements:
-            if e.kind == "bs" and e.q >= self.dim:
-                raise ValueError(f"bs ports ({e.p}, {e.q}) out of range for dim {self.dim}")
-            if e.kind == "ps" and e.p >= self.dim:
-                raise ValueError(f"ps port {e.p} out of range for dim {self.dim}")
+        els = tuple(self.elements)
+        object.__setattr__(self, "elements", els)
+        for e in els:
             if e.kind == "diag" and len(e.phases) != self.dim:
-                raise ValueError(
-                    f"diag element has {len(e.phases)} phases, expected {self.dim}"
-                )
+                raise ValueError(f"diag element has {len(e.phases)} phases, expected {self.dim}")
+        _set_columns(
+            self,
+            np.array([_KINDS.index(e.kind) for e in els], dtype=np.int64),
+            np.array([-1 if e.kind == "diag" else e.p for e in els], dtype=np.int64),
+            np.array([e.q if e.kind == "bs" else -1 for e in els], dtype=np.int64),
+            np.array([_angle_row(e) for e in els], dtype=float).reshape(-1, 4),
+            np.array([e.phases for e in els if e.kind == "diag"], dtype=float).reshape(-1, self.dim),
+        )
+
+    @classmethod
+    def _from_columns(cls, dim, kind, p, q, angles, phases) -> "Netlist":
+        nl = object.__new__(cls)
+        object.__setattr__(nl, "dim", int(dim))
+        _set_columns(nl, kind, p, q, angles, phases)
+        return nl
+
+    def _build_view(self) -> tuple:
+        rows = iter(self.phases.tolist())
+        none = dict(p=None, q=None, omega=None, alpha=0.0, beta=0.0, phi=0.0, phase=None, phases=None)
+        views = []
+        for k, p, q, (omega, alpha, beta, phi) in zip(
+            self.kind.tolist(), self.p.tolist(), self.q.tolist(), self.angles.tolist()
+        ):
+            if k == TWO:
+                fields = dict(kind="bs", p=p, q=q, omega=omega, alpha=alpha, beta=beta, phi=phi)
+            elif k == ONE:
+                fields = dict(kind="ps", p=p, phase=omega)
+            else:
+                fields = dict(kind="diag", phases=tuple(next(rows)))
+            views.append(_trusted(Element, **{**none, **fields}))
+        return tuple(views)
+
+    def _coefficients(self) -> tuple:
+        omega, alpha, beta, phi = self.angles.T
+        (a, b), (c, d) = _bs_block(omega, alpha, beta, phi)
+        a = np.where(self.kind == ONE, np.exp(1j * omega), a)  # a ps's phase sits in the omega column
+        return (a, b, c, d), np.exp(1j * self.phases)
 
 
-def _apply_element(e: Element, m: np.ndarray) -> None:
-    """Apply one element in place to the rows of a matrix or a vector."""
+def _angle_row(e: Element) -> tuple:
     if e.kind == "bs":
-        apply_two_port(m, e.p, e.q, _bs_block(e.omega, e.alpha, e.beta, e.phi))
-    elif e.kind == "ps":
-        m[e.p] *= cmath.exp(1j * e.phase)
-    else:  # diag: row k picks up exp(i * phases[k])
-        np.multiply(m.T, np.exp(1j * np.asarray(e.phases)), out=m.T)
+        return (e.omega, e.alpha, e.beta, e.phi)
+    return (e.phase if e.kind == "ps" else 0.0, 0.0, 0.0, 0.0)
+
+
+def _set_columns(nl: Netlist, kind, p, q, angles, phases) -> None:
+    """Check the port bounds once per array and store the columns read-only.
+
+    Angles and phases come checked: from ``Element`` or from a ``Factorization``.
+    """
+    dim = nl.dim
+    bad = np.flatnonzero((kind == TWO) & (q >= dim))
+    if bad.size:
+        raise ValueError(f"bs ports ({p[bad[0]]}, {q[bad[0]]}) out of range for dim {dim}")
+    bad = np.flatnonzero((kind == ONE) & (p >= dim))
+    if bad.size:
+        raise ValueError(f"ps port {p[bad[0]]} out of range for dim {dim}")
+    for name, arr in (("kind", kind), ("p", p), ("q", q), ("angles", angles), ("phases", phases)):
+        arr = np.array(arr)
+        arr.flags.writeable = False
+        object.__setattr__(nl, name, arr)
 
 
 def element_matrix(e: Element, dim: int) -> np.ndarray:
@@ -157,31 +227,26 @@ def netlist_from_factorization(f: Factorization) -> Netlist:
     T(omega, phi)^dagger = T_bs(omega, -phi - pi/2, phi + pi/2, -pi/2); one
     final diag layer realizes the adjoint of the factorization's diagonal.
     The diag layer is always present, even when every phase is zero, so the
-    layout is uniform.
+    layout is uniform.  The whole compile is array arithmetic on the
+    factorization's columns.
     """
-    elements = []
-    for fac in f.factors:
-        phi = fac.params.phi
-        elements.append(
-            Element(
-                kind="bs",
-                p=fac.p,
-                q=fac.q,
-                omega=fac.params.omega,
-                alpha=wrap_angle(-phi - _HALF_PI),
-                beta=wrap_angle(phi + _HALF_PI),
-                phi=-_HALF_PI,
-            )
-        )
-    elements.append(phase_layer(tuple(-d for d in f.diagonal)))
-    return Netlist(dim=f.dim, elements=tuple(elements))
+    k = f.p.size
+    angles = np.empty((k + 1, 4))
+    angles[:k, 0] = f.omega
+    angles[:k, 1] = _wrap(-f.phi - _HALF_PI)
+    angles[:k, 2] = _wrap(f.phi + _HALF_PI)
+    angles[:k, 3] = -_HALF_PI
+    angles[k] = 0.0
+    kind = np.append(np.full(k, TWO), ALL)
+    return Netlist._from_columns(
+        f.dim, kind, np.append(f.p, -1), np.append(f.q, -1), angles, -f.diagonal[None, :]
+    )
 
 
 def transfer_matrix(nl: Netlist) -> np.ndarray:
-    """Product of all element matrices in passage order."""
+    """Product of all element matrices in passage order, applied layer by layer."""
     out = np.eye(nl.dim, dtype=np.complex128)
-    for e in nl.elements:
-        _apply_element(e, out)
+    apply_layers(out, nl._steps())
     return out
 
 
@@ -190,8 +255,7 @@ def simulate(nl: Netlist, state) -> np.ndarray:
     v = as_vector(state).copy()
     if v.size != nl.dim:
         raise ValueError(f"state dimension {v.size} does not match netlist dim {nl.dim}")
-    for e in nl.elements:
-        _apply_element(e, v)
+    apply_layers(v, nl._steps())
     return v
 
 

@@ -21,7 +21,7 @@ from multiport import (
     transfer_matrix,
     unitarity_deviation,
 )
-from multiport.decompose import embed_two_port
+from multiport.decompose import factorization_from_payload
 
 import refdata
 
@@ -63,15 +63,6 @@ def test_solver_nulls_random_pairs(seed):
     a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     p = solve_t_params(a, b)
     assert residual(a, b, p) <= 1e-12 * max(1.0, abs(a), abs(b))
-
-
-def test_embed_two_port_shape():
-    block = t_matrix(TParams(0.3, 0.7))
-    m = embed_two_port(4, 1, 3, block)
-    assert m.shape == (4, 4)
-    np.testing.assert_array_equal(m[np.ix_([1, 3], [1, 3])], block)
-    assert m[0, 0] == 1.0 and m[2, 2] == 1.0
-    assert unitarity_deviation(m) <= 1e-13
 
 
 def test_identity_needs_no_factors():
@@ -140,15 +131,16 @@ def test_slightly_scaled_unitary_is_rejected_as_input(u):
 
 def test_corrupted_cell_is_caught(monkeypatch):
     # A cell off by 1e-6 in omega is still unitary, so no Gram check sees it;
-    # the residual left after elimination does.
+    # the residual left after elimination does.  Every layer is solved by
+    # solve_t_layer, so every cell gets the offset.
     module = importlib.import_module("multiport.decompose")
-    solve = module.solve_t_params
+    solve = module.solve_t_layer
 
     def off_by_1e6(a, b):
-        t = solve(a, b)
-        return None if t is None else TParams(t.omega + 1e-6, t.phi)
+        keep, omega, phi = solve(a, b)
+        return keep, omega + 1e-6, phi
 
-    monkeypatch.setattr(module, "solve_t_params", off_by_1e6)
+    monkeypatch.setattr(module, "solve_t_layer", off_by_1e6)
     with pytest.raises(ValueError, match="residual"):
         decompose(random_unitary(6, 3))
 
@@ -200,6 +192,29 @@ def test_factorization_file_without_omega_is_a_value_error(tmp_path):
     path.write_text(json.dumps({"dim": 2, "factors": [factor], "diagonal": [0.0, 0.0]}))
     with pytest.raises(ValueError):
         load_factorization(path)
+
+
+def test_factorization_arrays_follow_the_tparams_rules():
+    # Cells built from arrays (decompose, files) are checked once per array,
+    # with the clamping, wrapping and messages of TParams and TFactor.
+    omega, phi = [-1e-13, np.pi / 2 + 1e-13, 0.4], [4.0, -np.pi, np.pi]
+    f = factorization_from_payload({
+        "dim": 3,
+        "factors": [{"p": 1, "q": 2, "omega": w, "phi": x} for w, x in zip(omega, phi)],
+        "diagonal": [0.0, 0.0, 0.0],
+    })
+    assert f.factors == tuple(TFactor(0, 1, TParams(w, x)) for w, x in zip(omega, phi))
+    for bad in (2.0, float("nan")):
+        payload = {"dim": 2, "factors": [{"p": 1, "q": 2, "omega": bad, "phi": 0.0}], "diagonal": [0.0, 0.0]}
+        with pytest.raises(ValueError) as want:
+            TParams(bad, 0.0)
+        with pytest.raises(ValueError) as got:
+            factorization_from_payload(payload)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="phase must be finite"):
+        factorization_from_payload(
+            {"dim": 2, "factors": [{"p": 1, "q": 2, "omega": 0.1, "phi": float("inf")}], "diagonal": [0.0, 0.0]}
+        )
 
 
 @settings(max_examples=20, deadline=None)
