@@ -21,9 +21,8 @@ import numpy as np
 
 from .contexts import (
     BUILTIN_GRAPHS,
+    _dot_text,
     builtin_graph,
-    greechie_dot,
-    links_between,
     load_context_graph,
     validate_context_graph,
 )
@@ -123,16 +122,16 @@ def _cmd_decompose(args) -> int:
     err = float(np.max(np.abs(transfer_matrix(net) - u)))
     lines = [
         f"dim {fact.dim}",
-        f"factors {len(fact.factors)}",
-        f"elements {len(net.elements)}",
+        f"factors {fact.p.size}",
+        f"elements {net.kind.size}",
         f"max reconstruction error {_fmt(err)}",
         f"wrote {args.outfile}",
     ]
     record = {
         "verb": "decompose",
         "dim": fact.dim,
-        "factors": len(fact.factors),
-        "elements": len(net.elements),
+        "factors": fact.p.size,
+        "elements": net.kind.size,
         "max_reconstruction_error": err,
         "netlist": args.outfile,
     }
@@ -166,7 +165,7 @@ def _cmd_prepare(args) -> int:
     lines = [
         f"state {args.state} dim {n}",
         f"input port {args.port}",
-        f"factors {len(fact.factors)}",
+        f"factors {fact.p.size}",
         f"prepared state matches target up to global phase: {'yes' if ok else 'NO'}",
     ]
     record = {
@@ -174,7 +173,7 @@ def _cmd_prepare(args) -> int:
         "state": args.state,
         "dim": n,
         "port": args.port,
-        "factors": len(fact.factors),
+        "factors": fact.p.size,
         "matches_up_to_phase": bool(ok),
     }
     if not ok:
@@ -275,16 +274,14 @@ def _cmd_contexts(args) -> int:
         return 4
 
     lines.append("ok")
-    link_items = []
     ctxs = graph.contexts
-    for a in range(len(ctxs)):
-        for b in range(a + 1, len(ctxs)):
-            for ra, rb in links_between(ctxs[a], ctxs[b]):
-                lines.append(f"link {ctxs[a].name} {ctxs[b].name} via {ra.label}")
-                link_items.append({"a": ctxs[a].name, "b": ctxs[b].name, "label": ra.label})
-    record["links"] = link_items
+    record["links"] = [
+        {"a": ctxs[a].name, "b": ctxs[b].name, "label": ctxs[a].rays[i].label}
+        for a, b, i, _ in report.links
+    ]
+    lines.extend(f"link {x['a']} {x['b']} via {x['label']}" for x in record["links"])
 
-    dot = greechie_dot(graph)
+    dot = _dot_text(graph)
     record["dot"] = dot
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:

@@ -37,6 +37,7 @@ __all__ = [
 
 LINK_TOL = 1e-8
 _ORTHO_TOL = 1e-10
+MAX_FILE_RAYS = 2048  # most rays read from a file, checked before any Ray: a 64 MB Gram matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +140,16 @@ def links_between(c1: Context, c2: Context, tol: float = LINK_TOL) -> list[tuple
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Verdict, violations, and the graph's links.
+
+    A link ``(a, b, i, j)``, a < b, says that ray i of context a equals ray j
+    of context b up to phase.  Links are sorted; contexts that mix ray sizes
+    have none.
+    """
+
     ok: bool
     violations: tuple[str, ...]
+    links: tuple[tuple[int, int, int, int], ...] = ()
 
 
 def validate_context_graph(graph: ContextGraph) -> ValidationReport:
@@ -155,12 +164,12 @@ def validate_context_graph(graph: ContextGraph) -> ValidationReport:
     violations: list[str] = []
     contexts = graph.contexts
     dim = contexts[0].dim
-    flat: list[tuple[int, Ray]] = []  # (context index, ray) of contexts with one ray size
+    flat: list[tuple[int, int, Ray]] = []  # (context, position, ray) of contexts with one ray size
 
     for k, ctx in enumerate(contexts):
         mixed = len({r.vector.size for r in ctx.rays}) > 1
         if not mixed:
-            flat += [(k, r) for r in ctx.rays]
+            flat += [(k, i, r) for i, r in enumerate(ctx.rays)]
         if ctx.dim != dim:
             violations.append(
                 f"context {ctx.name!r} lives in dimension {ctx.dim}, expected {dim}"
@@ -189,20 +198,22 @@ def validate_context_graph(graph: ContextGraph) -> ValidationReport:
             seen.add(r.label)
 
     # Every pair of rays equal up to phase, from one Gram matrix over the graph.
-    same = set(_shared_pairs([r.vector for _, r in flat], None, LINK_TOL))
+    same = set(_shared_pairs([r.vector for _, _, r in flat], None, LINK_TOL))
+    links = tuple(sorted((flat[a][0], flat[b][0], flat[a][1], flat[b][1])
+                         for a, b in same if flat[a][0] != flat[b][0]))
 
     # Label consistency across the contexts of dimension ``dim``: a label
     # names one ray, and one ray carries one label.  Only pairs that share a
     # label or a ray can break it.
-    inside = [contexts[k].dim == dim for k, _ in flat]
+    inside = [contexts[k].dim == dim for k, _, _ in flat]
     by_label: dict[str, list[int]] = {}
-    for a, (_, r) in enumerate(flat):
+    for a, (_, _, r) in enumerate(flat):
         if inside[a]:
             by_label.setdefault(r.label, []).append(a)
     checked = {(a, b) for a, b in same if inside[a] and inside[b]}
     checked.update(pair for ix in by_label.values() for pair in combinations(ix, 2))
     for a, b in sorted(checked):
-        (ka, ra), (kb, rb) = flat[a], flat[b]
+        (ka, _, ra), (kb, _, rb) = flat[a], flat[b]
         na, nb = contexts[ka].name, contexts[kb].name
         same_vec = (a, b) in same
         if ra.label == rb.label and not same_vec:
@@ -215,7 +226,7 @@ def validate_context_graph(graph: ContextGraph) -> ValidationReport:
             )
 
     if dim >= 2:
-        shared = Counter((flat[a][0], flat[b][0]) for a, b in same if flat[a][0] != flat[b][0])
+        shared = Counter((a, b) for a, b, _, _ in links)
         most = "one" if dim == 3 else str(dim - 2)
         for (a, b), count in sorted(shared.items()):
             if count > dim - 2:
@@ -225,7 +236,7 @@ def validate_context_graph(graph: ContextGraph) -> ValidationReport:
                     f"may share at most {most}"
                 )
 
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(ok=not violations, violations=tuple(violations), links=links)
 
 
 def greechie_dot(graph: ContextGraph) -> str:
@@ -241,6 +252,11 @@ def greechie_dot(graph: ContextGraph) -> str:
         raise ValueError(
             "cannot draw an invalid context graph: " + "; ".join(report.violations)
         )
+    return _dot_text(graph)
+
+
+def _dot_text(graph: ContextGraph) -> str:
+    """DOT text of a graph already known to be valid."""
     labels = sorted({r.label for ctx in graph.contexts for r in ctx.rays})
     lines = ["graph contexts {"]
     for lab in labels:
@@ -315,6 +331,9 @@ def context_graph_to_payload(graph: ContextGraph) -> list:
 def context_graph_from_payload(payload) -> ContextGraph:
     if not isinstance(payload, list):
         raise ValueError("context graph payload must be a list of contexts")
+    total = sum(len(item["rays"]) for item in payload)
+    if total > MAX_FILE_RAYS:
+        raise ValueError(f"context graph of {total} rays exceeds the limit of {MAX_FILE_RAYS}")
     contexts = []
     for item in payload:
         rays = tuple(

@@ -4,7 +4,8 @@ An observable is specified by a real rotation (whose transposed columns are
 the eigenvectors) and an eigenvalue label per eigenvector.  The analyzer
 unitary for a multi-particle product observable maps the state space to
 output ports so that port r collects the amplitude of the r-th joint
-eigenvector; its rows are the conjugated joint eigenvectors.
+eigenvector; its rows are the conjugated joint eigenvectors, which are the
+rows of ``kron(R_1, ..., R_k).conj()`` in the order below.
 
 Row order is descending lexicographic over the per-particle eigenvector
 indices ("reversed_lex", the default) or ascending ("forward_lex").  Labels
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 from typing import Optional
 
@@ -152,13 +154,8 @@ def tensor_observable(parts) -> TensorObservable:
     parts = tuple(parts)
     if not 1 <= len(parts) <= 3:
         raise ValueError(f"expected 1..3 tensor slots, got {len(parts)}")
-    m = rotated_observable(parts[0])
-    for p in parts[1:]:
-        m = kron(m, rotated_observable(p))
-    dim = 1
-    for p in parts:
-        dim *= p.dim
-    return TensorObservable(parts=parts, matrix=m, dim=dim)
+    m = reduce(kron, [rotated_observable(p) for p in parts])
+    return TensorObservable(parts=parts, matrix=m, dim=m.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,24 +181,13 @@ def analyzer_unitary(parts, ordering: str = "reversed_lex") -> AnalyzerUnitary:
     if not 1 <= len(parts) <= 3:
         raise ValueError(f"expected 1..3 tensor slots, got {len(parts)}")
 
-    vecs = [p.eigenvectors() for p in parts]
-    labels = [p.label_values() for p in parts]
-    dims = tuple(p.dim for p in parts)
-
-    indices = list(product(*[range(d) for d in dims]))  # ascending lex
+    matrix = reduce(kron, [p.rotation_or_identity() for p in parts]).conj()
+    outcome = list(product(*[p.label_values() for p in parts]))  # ascending lex
     if ordering == "reversed_lex":
-        indices.reverse()
+        matrix = matrix[::-1].copy()
+        outcome.reverse()
 
-    total = int(np.prod(dims))
-    matrix = np.empty((total, total), dtype=np.complex128)
-    outcome: list[tuple[float, ...]] = []
-    for r, multi in enumerate(indices):
-        w = vecs[0][:, multi[0]]
-        for k in range(1, len(parts)):
-            w = kron(w, vecs[k][:, multi[k]])
-        matrix[r, :] = w.conj()
-        outcome.append(tuple(labels[k][multi[k]] for k in range(len(parts))))
-
+    dims = tuple(p.dim for p in parts)
     return AnalyzerUnitary(
         matrix=matrix, outcome_labels=tuple(outcome), ordering=ordering, dims=dims
     )

@@ -34,6 +34,10 @@ RSQRT2 = np.sqrt(0.5)
 RSQRT3 = 1.0 / np.sqrt(3.0)
 RSQRT6 = 1.0 / np.sqrt(6.0)
 
+# Most entries of a state read from a file: completing it to a unitary costs
+# an n x n matrix and O(n^3) time, before the mesh compile that follows.
+MAX_STATE_DIM = 1024
+
 _BELL_PATTERNS = {
     1: (1.0, 0.0, 0.0, 1.0),
     2: (1.0, 0.0, 0.0, -1.0),
@@ -113,13 +117,15 @@ def resolve_state(spec: str) -> np.ndarray:
 
     Accepts the built-in names (bell1..bell4, qutrit2-singlet,
     qutrit3-singlet) or ``@path.json`` pointing at a matrix file with a
-    single column.
+    single column of at most ``MAX_STATE_DIM`` entries.
     """
     spec = spec.strip()
     if spec.startswith("@"):
         m = load_matrix(spec[1:])
         if m.shape[1] != 1:
             raise ValueError(f"state file must hold a single column, got {m.shape}")
+        if m.shape[0] > MAX_STATE_DIM:
+            raise ValueError(f"state file of {m.shape[0]} entries exceeds the limit of {MAX_STATE_DIM}")
         v = m.reshape(-1)
         if abs(np.linalg.norm(v) - 1.0) > 1e-10:
             raise ValueError("state loaded from file is not normalized")

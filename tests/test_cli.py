@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from multiport import (
     save_matrix,
     transfer_matrix,
 )
+import multiport.cli
+import multiport.contexts
 from multiport.cli import main
 from multiport.contexts import Context, ContextGraph, Ray
 from multiport.observables import ObservableSpec
@@ -277,6 +280,46 @@ def test_contexts_unknown_name_exits_4(capsys):
     assert code == 4
 
 
+def test_contexts_json_links_in_context_pair_order(monkeypatch, capsys):
+    monkeypatch.setenv("REPORT_JSON", "1")
+    code, out, _ = run(capsys, "contexts", "--graph", "three-chain")
+    assert code == 0
+    assert json.loads(out)["links"] == [
+        {"a": "E", "b": "F", "label": "x3"},
+        {"a": "E", "b": "G", "label": "x1"},
+    ]
+
+
+def test_contexts_verb_validates_once_in_one_gram_pass(monkeypatch, capsys):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(multiport.contexts, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    validate = counted("validate_context_graph")
+    monkeypatch.setattr(multiport.contexts, "validate_context_graph", validate)
+    monkeypatch.setattr(multiport.cli, "validate_context_graph", validate)
+    monkeypatch.setattr(multiport.contexts, "_shared_pairs", counted("_shared_pairs"))
+    code, out, _ = run(capsys, "contexts", "--graph", "three-chain")
+    assert code == 0
+    assert "link E G via x1" in out
+    assert calls == {"validate_context_graph": 1, "_shared_pairs": 1}
+
+
+def test_contexts_file_over_ray_cap_exits_4(tmp_path, capsys):
+    ray = {"label": "a", "vector": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps([{"name": f"C{k}", "rays": [ray] * 3} for k in range(683)]))
+    code, _, err = run(capsys, "contexts", "--graph", f"@{path}")
+    assert code == 4
+    assert "2049 rays exceeds the limit of 2048" in err
+
+
 # --- hostile files -----------------------------------------------------------------
 
 DEEP_NESTING_ARGV = {
@@ -293,6 +336,16 @@ def test_deeply_nested_file_exits_4(tmp_path, capsys, argv):
     code, _, err = run(capsys, *(a.format(f=deep, out=tmp_path / "net.json") for a in argv))
     assert code == 4
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_prepare_state_file_over_entry_cap_exits_4(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    psi = np.zeros((1025, 1))
+    psi[0] = 1.0
+    save_matrix(path, psi)
+    code, _, err = run(capsys, "prepare", "--state", f"@{path}")
+    assert code == 4
+    assert "1025 entries exceeds the limit of 1024" in err
 
 
 # --- JSON reporting mode --------------------------------------------------------------

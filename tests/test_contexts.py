@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from multiport import (
     validate_context_graph,
 )
 import multiport.contexts
-from multiport.contexts import LINK_TOL
+from multiport.contexts import LINK_TOL, MAX_FILE_RAYS, context_graph_from_payload
 from multiport.numerics import dyadic, equal_up_to_global_phase
 
 import refdata
@@ -233,6 +234,30 @@ def test_context_mixing_ray_sizes_is_one_violation():
     assert links_between(e_ctx, mixed) == [(e_ctx.rays[0], mixed.rays[0])]
 
 
+def test_report_lists_links_in_context_pair_order():
+    assert validate_context_graph(builtin_graph("two-tripods")).links == ((0, 1, 2, 2),)
+    # E-F via x3 (ray 2 of both), then E-G via x1 (ray 0 of both).
+    assert validate_context_graph(builtin_graph("three-chain")).links == (
+        (0, 1, 2, 2), (0, 2, 0, 0))
+    # Two rays of one context that are equal up to phase make no link.
+    twin = Context(name="X", rays=(Ray("a", E3[0]), Ray("a", 1j * E3[0]), Ray("c", E3[2])))
+    report = validate_context_graph(ContextGraph(contexts=(twin, tripod("E", E3, "abc"))))
+    assert report.links == ((0, 1, 0, 0), (0, 1, 1, 0), (0, 1, 2, 2))
+
+
+def ray_payload(count):
+    """A graph payload of ``count`` copies of one ray, three to a context."""
+    ray = {"label": "a", "vector": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+    return [{"name": f"C{k}", "rays": [ray] * min(3, count - k)} for k in range(0, count, 3)]
+
+
+def test_graph_payload_over_ray_cap_is_refused_before_any_ray(monkeypatch):
+    assert len(context_graph_from_payload(ray_payload(MAX_FILE_RAYS)).contexts) == 683
+    monkeypatch.setattr(multiport.contexts, "Ray", None)  # building a Ray would raise TypeError
+    with pytest.raises(ValueError, match="2049 rays exceeds the limit of 2048"):
+        context_graph_from_payload(ray_payload(MAX_FILE_RAYS + 1))
+
+
 # --- dimension 4: the Cabello-Estebaranz-Garcia-Alcaine set -----------------
 
 def ceg18_graph():
@@ -337,6 +362,19 @@ def reference_violations(graph):
     return tuple(violations)
 
 
+def reference_link_indices(graph):
+    """Every link ``(a, b, i, j)`` from the pairwise loop over context pairs."""
+    ctxs = graph.contexts
+    return tuple(
+        (a, b, i, j)
+        for a, b in combinations(range(len(ctxs)), 2)
+        for i, r1 in enumerate(ctxs[a].rays)
+        for j, r2 in enumerate(ctxs[b].rays)
+        if r1.vector.size == r2.vector.size
+        and equal_up_to_global_phase(r1.vector, r2.vector, LINK_TOL)
+    )
+
+
 NEAR_TOL = (1e-10, 3e-9, 7e-9, 9e-9, 1.1e-8, 1.5e-8, 3e-8, 1e-7)
 
 
@@ -400,8 +438,10 @@ def test_gram_validator_matches_pairwise_reference(d):
     kinds = Counter()
     for _ in range(60):
         g = random_graph(rng, d)
-        got = validate_context_graph(g).violations
+        report = validate_context_graph(g)
+        got = report.violations
         assert got == reference_violations(g)
+        assert report.links == reference_link_indices(g)
         kinds.update(v.split(" ")[0] for v in got)
         for c1 in g.contexts:
             for c2 in g.contexts:

@@ -1,5 +1,8 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multiport import (
     ObservableSpec,
@@ -16,6 +19,8 @@ from multiport import (
     unitarity_deviation,
     verify_eigenbasis,
 )
+from multiport.numerics import kron
+from multiport.observables import ORDERINGS
 
 import refdata
 
@@ -184,6 +189,49 @@ def test_zero_angle_matches_unrotated_construction():
     a = analyzer_unitary([spec2(), zero])
     b = analyzer_unitary([spec2(), spec2()])
     np.testing.assert_array_equal(a.matrix, b.matrix)
+
+
+def per_row_analyzer(parts, ordering):
+    """The per-row construction that one Kronecker product replaced."""
+    vecs = [p.eigenvectors() for p in parts]
+    labels = [p.label_values() for p in parts]
+    indices = list(product(*[range(p.dim) for p in parts]))
+    if ordering == "reversed_lex":
+        indices.reverse()
+    matrix = np.empty((len(indices), len(indices)), dtype=np.complex128)
+    for r, multi in enumerate(indices):
+        w = vecs[0][:, multi[0]]
+        for k in range(1, len(parts)):
+            w = kron(w, vecs[k][:, multi[k]])
+        matrix[r, :] = w.conj()
+    outcome = tuple(tuple(labels[k][m] for k, m in enumerate(multi)) for multi in indices)
+    return matrix, outcome
+
+
+@st.composite
+def slots(draw):
+    """An identity, standard-basis or rotated slot of dimension 2 or 3."""
+    d = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("identity", "standard", "rotated")))
+    if kind == "identity":
+        return identity_spec(d)
+    rotation = None
+    if kind == "rotated":
+        a, b = draw(st.floats(-7.0, 7.0)), draw(st.floats(-7.0, 7.0))
+        rotation = rotation_plane(d, (1, 2), a) @ rotation_plane(d, (d - 1, d), b)
+    labels = tuple(draw(st.permutations(default_labels(d))))
+    return ObservableSpec(dim=d, rotation=rotation, labels=labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(slots(), min_size=1, max_size=3), st.sampled_from(ORDERINGS))
+def test_analyzer_is_bitwise_the_per_row_construction(parts, ordering):
+    an = analyzer_unitary(parts, ordering)
+    matrix, outcome = per_row_analyzer(parts, ordering)
+    assert an.matrix.tobytes() == matrix.tobytes()
+    assert an.matrix.flags.c_contiguous
+    assert an.outcome_labels == outcome
+    assert an.dims == tuple(p.dim for p in parts)
 
 
 def test_analyzers_are_unitary():

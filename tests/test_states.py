@@ -14,6 +14,8 @@ from multiport import (
     unitarity_deviation,
 )
 
+from multiport.states import MAX_STATE_DIM
+
 import refdata
 
 
@@ -158,3 +160,14 @@ def test_state_resolution_from_file(tmp_path):
     save_matrix(bad, np.array([[1.0], [1.0]]))
     with pytest.raises(ValueError):
         resolve_state(f"@{bad}")
+
+
+def test_state_file_entry_cap(tmp_path):
+    path = tmp_path / "state.json"
+    psi = np.zeros((MAX_STATE_DIM + 1, 1))
+    psi[0] = 1.0
+    save_matrix(path, psi[:-1])
+    assert resolve_state(f"@{path}").size == MAX_STATE_DIM
+    save_matrix(path, psi)
+    with pytest.raises(ValueError, match="1025 entries exceeds the limit of 1024"):
+        resolve_state(f"@{path}")
