@@ -36,9 +36,9 @@ from .interferometer import (
     simulate,
     transfer_matrix,
 )
-from .numerics import equal_up_to_global_phase, load_matrix, save_matrix
+from .numerics import equal_up_to_global_phase, load_matrix, save_matrix, write_json
 from .observables import analyzer_unitary, parse_obs_spec, predict_ports
-from .states import preparation_unitary, resolve_state
+from .states import STATE_NAMES, preparation_unitary, resolve_state
 
 __all__ = ["main", "build_parser"]
 
@@ -53,6 +53,17 @@ def _emit(record: dict, lines: list[str]) -> None:
     else:
         for line in lines:
             print(line)
+
+
+_STATE_HELP = f"state spec: {', '.join(STATE_NAMES)}, or @file.json"
+
+
+def _write_text(path, text: str, key: str, lines: list[str], record: dict) -> None:
+    """Write ``text`` to ``path`` and report the file under ``key``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    lines.append(f"wrote {path}")
+    record[key] = path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,8 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(func=_cmd_decompose)
 
     p_prep = sub.add_parser("prepare", help="netlist preparing a named state from one port")
-    p_prep.add_argument("--state", required=True, help="state spec (bell1..bell4, "
-                        "qutrit2-singlet, qutrit3-singlet, or @file.json)")
+    p_prep.add_argument("--state", required=True, help=_STATE_HELP)
     p_prep.add_argument("--port", type=int, default=1, help="input port, 1-based (default 1)")
     p_prep.add_argument("--out", dest="outfile", help="output netlist JSON file")
     p_prep.add_argument("--unitary", help="also write the preparation unitary matrix here")
@@ -80,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prep.set_defaults(func=_cmd_prepare)
 
     p_pred = sub.add_parser("predict", help="output-port probabilities of an analyzer")
-    p_pred.add_argument("--state", required=True, help="state spec")
+    p_pred.add_argument("--state", required=True, help=_STATE_HELP)
     p_pred.add_argument(
         "--obs",
         required=True,
@@ -140,10 +150,7 @@ def _cmd_decompose(args) -> int:
         lines.append(f"wrote {args.factors}")
         record["factorization"] = args.factors
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_schematic(net, format="svg"))
-        lines.append(f"wrote {args.svg}")
-        record["svg"] = args.svg
+        _write_text(args.svg, render_schematic(net, format="svg"), "svg", lines, record)
     _emit(record, lines)
     return 0
 
@@ -188,10 +195,7 @@ def _cmd_prepare(args) -> int:
         lines.append(f"wrote {args.unitary}")
         record["unitary"] = args.unitary
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_schematic(net, format="svg"))
-        lines.append(f"wrote {args.svg}")
-        record["svg"] = args.svg
+        _write_text(args.svg, render_schematic(net, format="svg"), "svg", lines, record)
     _emit(record, lines)
     return 0
 
@@ -216,11 +220,7 @@ def _cmd_predict(args) -> int:
         "amplitudes": [[a.real, a.imag] for a in dist.amplitudes],
     }
     if args.outfile:
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"probabilities": list(dist.probabilities)},
-                fh,
-            )
+        write_json(args.outfile, {"probabilities": list(dist.probabilities)})
         lines.append(f"wrote {args.outfile}")
         record["out"] = args.outfile
     _emit(record, lines)
@@ -284,10 +284,7 @@ def _cmd_contexts(args) -> int:
     dot = _dot_text(graph)
     record["dot"] = dot
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
-        lines.append(f"wrote {args.dot}")
-        record["dot_file"] = args.dot
+        _write_text(args.dot, dot, "dot_file", lines, record)
     else:
         lines.append(dot.rstrip("\n"))
     _emit(record, lines)

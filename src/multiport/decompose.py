@@ -83,8 +83,7 @@ class Factorization(_Mesh):
     def __post_init__(self):
         fs = tuple(self.factors)
         object.__setattr__(self, "factors", fs)
-        _set_columns(
-            self,
+        self._store_columns(
             np.array([f.p for f in fs], dtype=np.int64),
             np.array([f.q for f in fs], dtype=np.int64),
             np.array([f.params.omega for f in fs], dtype=float),
@@ -92,12 +91,30 @@ class Factorization(_Mesh):
             self.diagonal,
         )
 
-    @classmethod
-    def _from_arrays(cls, dim, p, q, omega, phi, diagonal) -> "Factorization":
-        f = object.__new__(cls)
-        object.__setattr__(f, "dim", int(dim))
-        _set_columns(f, p, q, omega, phi, diagonal)
-        return f
+    @staticmethod
+    def _check(dim, p, q, omega, phi, diagonal) -> dict:
+        """Check the cell arrays once, with the rules of TFactor and TParams."""
+        if dim < 1:
+            raise ValueError("dimension must be >= 1")
+        diagonal = np.array(diagonal, dtype=float).reshape(-1)
+        if diagonal.size != dim:
+            raise ValueError(f"diagonal length {diagonal.size} does not match dim {dim}")
+        limit = dim * (dim - 1) // 2
+        if p.size > limit:
+            raise ValueError(f"{p.size} factors exceed the n(n-1)/2 = {limit} bound")
+        bad = np.flatnonzero((p < 0) | (p >= q))
+        if bad.size:
+            raise ValueError(f"need 0 <= p < q, got p={p[bad[0]]}, q={q[bad[0]]}")
+        bad = np.flatnonzero(q >= dim)
+        if bad.size:
+            raise ValueError(f"factor ports ({p[bad[0]]}, {q[bad[0]]}) out of range for dim {dim}")
+        return {
+            "p": p,
+            "q": q,
+            "omega": _checked_mixings(np.asarray(omega, dtype=float), math.pi / 2),
+            "phi": _checked_phases(np.asarray(phi, dtype=float)),
+            "diagonal": diagonal,
+        }
 
     def _build_view(self) -> tuple:
         return tuple(
@@ -120,36 +137,6 @@ class Factorization(_Mesh):
         """Every factor's adjoint block, so the layers apply T_1^dagger first."""
         (a, b), (c, d) = _t_block(self.omega, self.phi)  # a, b are real
         return (a, c.conj(), b, d.conj()), None
-
-
-def _set_columns(f: Factorization, p, q, omega, phi, diagonal) -> None:
-    """Check the cell arrays once, with the rules of TFactor and TParams, and store them read-only."""
-    dim = f.dim
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    diagonal = np.array(diagonal, dtype=float).reshape(-1)
-    if diagonal.size != dim:
-        raise ValueError(f"diagonal length {diagonal.size} does not match dim {dim}")
-    limit = dim * (dim - 1) // 2
-    if p.size > limit:
-        raise ValueError(f"{p.size} factors exceed the n(n-1)/2 = {limit} bound")
-    bad = np.flatnonzero((p < 0) | (p >= q))
-    if bad.size:
-        raise ValueError(f"need 0 <= p < q, got p={p[bad[0]]}, q={q[bad[0]]}")
-    bad = np.flatnonzero(q >= dim)
-    if bad.size:
-        raise ValueError(f"factor ports ({p[bad[0]]}, {q[bad[0]]}) out of range for dim {dim}")
-    columns = {
-        "p": p,
-        "q": q,
-        "omega": _checked_mixings(np.asarray(omega, dtype=float), math.pi / 2),
-        "phi": _checked_phases(np.asarray(phi, dtype=float)),
-        "diagonal": diagonal,
-    }
-    for name, arr in columns.items():
-        arr = np.array(arr)
-        arr.flags.writeable = False
-        object.__setattr__(f, name, arr)
 
 
 def solve_t_layer(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -222,7 +209,7 @@ def decompose(u) -> Factorization:
     if drift > UNITARY_TOL:
         raise ValueError(f"elimination left a residual {drift:.3e} off a unit-modulus diagonal")
     p, omega, phi = (np.concatenate(x) for x in zip(*cells))
-    return Factorization._from_arrays(n, p, p + 1, omega, phi, -angles)
+    return Factorization._from_columns(n, p, p + 1, omega, phi, -angles)
 
 
 def reconstruct(f: Factorization) -> np.ndarray:
@@ -261,7 +248,7 @@ def factorization_from_payload(payload: dict) -> Factorization:
     omega = np.array([float(item["omega"]) for item in items])
     phi = np.array([float(item["phi"]) for item in items])
     diagonal = [float(d) for d in payload["diagonal"]]
-    return Factorization._from_arrays(dim, p - 1, q - 1, omega, phi, diagonal)
+    return Factorization._from_columns(dim, p - 1, q - 1, omega, phi, diagonal)
 
 
 def save_factorization(path, f: Factorization) -> None:

@@ -264,12 +264,28 @@ class _Mesh:
     """What ``Factorization`` and ``Netlist`` share, each part built once per object.
 
     A subclass is a frozen dataclass holding ``dim`` and the columns ``kind``,
-    ``p`` and ``q``.  It names its tuple view in ``_view`` and builds it in
-    ``_build_view``; ``_coefficients()`` returns the ``block`` and ``rows``
-    that ``layer_steps`` takes.
+    ``p`` and ``q``.  Its one checker, ``_check(dim, *columns)``, returns the
+    checked columns by name, and every constructor stores them through it.
+    It names its tuple view in ``_view`` and builds it in ``_build_view``;
+    ``_coefficients()`` returns the ``block`` and ``rows`` that ``layer_steps``
+    takes.
     """
 
     _view = ""
+
+    @classmethod
+    def _from_columns(cls, dim, *columns):
+        """An instance straight from its columns, without the tuple view."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "dim", int(dim))
+        obj._store_columns(*columns)
+        return obj
+
+    def _store_columns(self, *columns) -> None:
+        for name, arr in self._check(self.dim, *columns).items():
+            arr = np.array(arr)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def _once(self, name: str, build):
         try:

@@ -18,12 +18,26 @@ dense n x n unitary has depth 2n-2: 2n-3 layers of cells plus the final
 ``diag``.  Ports are 0-based in memory and 1-based in files and rendered
 output.  Netlist files write ``"omega"``; a ``bs`` with only ``"T"`` (the
 older format) is still read.
+
+A netlist is held to one set of rules, checked once per column array by
+``Netlist._check``, whether it is built from elements, compiled from a
+factorization or read from a file (the file's columns go there directly):
+
+* ``dim >= 1``;
+* a ``bs`` has ports 0 <= p < q < dim, a ``ps`` has 0 <= p < dim;
+* a ``bs`` mixing angle lies in [0, pi/2] (an overshoot within 1e-12 is
+  clamped);
+* every angle and phase is finite;
+* each ``diag`` has exactly one row of ``dim`` phases.
+
+An ``Element`` obeys the same rules as the one element of the smallest
+netlist that holds it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -35,7 +49,7 @@ from .devices import (
     TWO,
     _Mesh,
     _bs_block,
-    _checked_mixing,
+    _checked_mixings,
     _trusted,
     _wrap,
     apply_layers,
@@ -62,6 +76,7 @@ __all__ = [
 ]
 
 _KINDS = ("bs", "ps", "diag")
+_NEEDS = {"bs": ("p", "q", "omega"), "ps": ("p", "phase"), "diag": ("phases",)}
 MAX_FILE_DIM = 4096  # largest netlist dim read from a file, checked before any allocation
 _HALF_PI = 0.5 * math.pi
 
@@ -81,30 +96,19 @@ class Element:
     phases: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        need = _NEEDS.get(self.kind)
+        if need is None:
             raise ValueError(f"unknown element kind {self.kind!r}; expected one of {_KINDS}")
-        if self.kind == "bs":
-            if self.p is None or self.q is None or self.omega is None:
-                raise ValueError("bs element needs ports p, q and mixing angle omega")
-            if not 0 <= self.p < self.q:
-                raise ValueError(f"bs ports must satisfy 0 <= p < q, got ({self.p}, {self.q})")
-            object.__setattr__(self, "omega", _checked_mixing(self.omega, _HALF_PI))
-            for ang in (self.alpha, self.beta, self.phi):
-                if not math.isfinite(float(ang)):
-                    raise ValueError("bs phases must be finite")
-        elif self.kind == "ps":
-            if self.p is None or self.phase is None:
-                raise ValueError("ps element needs a port p and a phase")
-            if self.p < 0:
-                raise ValueError("ps port must be >= 0")
-            if not math.isfinite(float(self.phase)):
-                raise ValueError("ps phase must be finite")
-        else:  # diag
-            if not self.phases:
-                raise ValueError("diag element needs a tuple of phases")
+        if any(getattr(self, name) is None for name in need):
+            raise ValueError(f"{self.kind} element needs {', '.join(need)}")
+        if self.kind == "diag":
             object.__setattr__(self, "phases", tuple(float(x) for x in self.phases))
-            if any(not math.isfinite(x) for x in self.phases):
-                raise ValueError("diag phases must be finite")
+            dim = len(self.phases) or 1
+        else:
+            dim = max(self.p, self.q or 0) + 1
+        angles = Netlist._check(dim, *_element_columns((self,)))["angles"]
+        if self.kind == "bs":
+            object.__setattr__(self, "omega", angles[0, 0].item())
 
     @property
     def T(self) -> Optional[float]:
@@ -131,10 +135,10 @@ def phase_layer(phases) -> Element:
 class Netlist(_Mesh):
     """Ordered elements on ``dim`` ports; all port references must fit.
 
-    The elements are held as read-only columns, port bounds checked once per
-    array: ``kind`` (0 bs, 1 ps, 2 diag), ports ``p`` and ``q`` (-1 where a kind has
-    none), ``angles`` (omega, alpha, beta, phi of a bs; a ps's phase in the
-    first column) and ``phases``, one row per diag element in order.
+    The elements are held as read-only columns, checked once per array by
+    ``_check``: ``kind`` (0 bs, 1 ps, 2 diag), ports ``p`` and ``q`` (-1 where a
+    kind has none), ``angles`` (omega, alpha, beta, phi of a bs; a ps's phase in
+    the first column) and ``phases``, one row per diag element in order.
     ``elements`` is a tuple view of ``Element`` objects, built on first use.
     """
 
@@ -143,44 +147,62 @@ class Netlist(_Mesh):
     _view = "elements"
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("netlist dimension must be >= 1")
         els = tuple(self.elements)
         object.__setattr__(self, "elements", els)
-        for e in els:
-            if e.kind == "diag" and len(e.phases) != self.dim:
-                raise ValueError(f"diag element has {len(e.phases)} phases, expected {self.dim}")
-        _set_columns(
-            self,
-            np.array([_KINDS.index(e.kind) for e in els], dtype=np.int64),
-            np.array([-1 if e.kind == "diag" else e.p for e in els], dtype=np.int64),
-            np.array([e.q if e.kind == "bs" else -1 for e in els], dtype=np.int64),
-            np.array([_angle_row(e) for e in els], dtype=float).reshape(-1, 4),
-            np.array([e.phases for e in els if e.kind == "diag"], dtype=float).reshape(-1, self.dim),
-        )
+        self._store_columns(*_element_columns(els))
 
-    @classmethod
-    def _from_columns(cls, dim, kind, p, q, angles, phases) -> "Netlist":
-        nl = object.__new__(cls)
-        object.__setattr__(nl, "dim", int(dim))
-        _set_columns(nl, kind, p, q, angles, phases)
-        return nl
+    @staticmethod
+    def _check(dim, kind, p, q, angles, rows) -> dict:
+        """The netlist rules, each checked once per array; every constructor ends here.
 
-    def _build_view(self) -> tuple:
+        ``rows`` holds the phases of each diag element in order; their
+        lengths are checked before they become one array.
+        """
+        if dim < 1:
+            raise ValueError("netlist dimension must be >= 1")
+        kind, p, q = (np.asarray(x, dtype=np.int64) for x in (kind, p, q))
+        two = kind == TWO
+        bad = np.flatnonzero(two & ((p < 0) | (p >= q) | (q >= dim)))
+        if bad.size:
+            raise ValueError(f"bs ports ({p[bad[0]]}, {q[bad[0]]}) invalid for dim {dim}: need 0 <= p < q < dim")
+        bad = np.flatnonzero((kind == ONE) & ((p < 0) | (p >= dim)))
+        if bad.size:
+            raise ValueError(f"ps port {p[bad[0]]} out of range for dim {dim}")
+        n_diag = int(np.count_nonzero(kind == ALL))
+        if len(rows) != n_diag:
+            raise ValueError(f"{len(rows)} phase rows for {n_diag} diag elements")
+        for row in rows:
+            if len(row) != dim:
+                raise ValueError(f"diag element has {len(row)} phases, expected {dim}")
+        angles = np.array(angles, dtype=float).reshape(-1, 4)
+        angles[two, 0] = _checked_mixings(angles[two, 0], _HALF_PI)
+        phases = np.array(rows, dtype=float).reshape(-1, dim)
+        if not (np.isfinite(angles).all() and np.isfinite(phases).all()):
+            raise ValueError("angles and phases must be finite")
+        return {"kind": kind, "p": p, "q": q, "angles": angles, "phases": phases}
+
+    def _walk(self, base: int, seq):
+        """The fields of each element in order, ports offset by ``base``, each diag row a ``seq``.
+
+        The one bs/ps/diag dispatch over the columns: the ``elements`` view
+        and the file writer both read it.
+        """
         rows = iter(self.phases.tolist())
-        none = dict(p=None, q=None, omega=None, alpha=0.0, beta=0.0, phi=0.0, phase=None, phases=None)
-        views = []
         for k, p, q, (omega, alpha, beta, phi) in zip(
             self.kind.tolist(), self.p.tolist(), self.q.tolist(), self.angles.tolist()
         ):
             if k == TWO:
-                fields = dict(kind="bs", p=p, q=q, omega=omega, alpha=alpha, beta=beta, phi=phi)
+                yield {
+                    "kind": "bs", "p": p + base, "q": q + base, "omega": omega, "alpha": alpha, "beta": beta, "phi": phi
+                }
             elif k == ONE:
-                fields = dict(kind="ps", p=p, phase=omega)
+                yield {"kind": "ps", "p": p + base, "phase": omega}
             else:
-                fields = dict(kind="diag", phases=tuple(next(rows)))
-            views.append(_trusted(Element, **{**none, **fields}))
-        return tuple(views)
+                yield {"kind": "diag", "phases": seq(next(rows))}
+
+    def _build_view(self) -> tuple:
+        unset = {f.name: f.default for f in fields(Element)}
+        return tuple(_trusted(Element, **{**unset, **item}) for item in self._walk(0, tuple))
 
     def _coefficients(self) -> tuple:
         omega, alpha, beta, phi = self.angles.T
@@ -189,28 +211,21 @@ class Netlist(_Mesh):
         return (a, b, c, d), np.exp(1j * self.phases)
 
 
+def _element_columns(els) -> tuple:
+    """The raw columns ``Netlist._check`` takes, read off a sequence of elements."""
+    return (
+        [_KINDS.index(e.kind) for e in els],
+        [-1 if e.kind == "diag" else e.p for e in els],
+        [e.q if e.kind == "bs" else -1 for e in els],
+        [_angle_row(e) for e in els],
+        [e.phases for e in els if e.kind == "diag"],
+    )
+
+
 def _angle_row(e: Element) -> tuple:
     if e.kind == "bs":
         return (e.omega, e.alpha, e.beta, e.phi)
     return (e.phase if e.kind == "ps" else 0.0, 0.0, 0.0, 0.0)
-
-
-def _set_columns(nl: Netlist, kind, p, q, angles, phases) -> None:
-    """Check the port bounds once per array and store the columns read-only.
-
-    Angles and phases come checked: from ``Element`` or from a ``Factorization``.
-    """
-    dim = nl.dim
-    bad = np.flatnonzero((kind == TWO) & (q >= dim))
-    if bad.size:
-        raise ValueError(f"bs ports ({p[bad[0]]}, {q[bad[0]]}) out of range for dim {dim}")
-    bad = np.flatnonzero((kind == ONE) & (p >= dim))
-    if bad.size:
-        raise ValueError(f"ps port {p[bad[0]]} out of range for dim {dim}")
-    for name, arr in (("kind", kind), ("p", p), ("q", q), ("angles", angles), ("phases", phases)):
-        arr = np.array(arr)
-        arr.flags.writeable = False
-        object.__setattr__(nl, name, arr)
 
 
 def element_matrix(e: Element, dim: int) -> np.ndarray:
@@ -334,60 +349,39 @@ def _render_svg(nl: Netlist) -> str:
 
 
 def netlist_to_payload(nl: Netlist) -> dict:
-    items = []
-    for e in nl.elements:
-        if e.kind == "bs":
-            items.append(
-                {
-                    "kind": "bs",
-                    "p": e.p + 1,
-                    "q": e.q + 1,
-                    "omega": float(e.omega),
-                    "alpha": float(e.alpha),
-                    "beta": float(e.beta),
-                    "phi": float(e.phi),
-                }
-            )
-        elif e.kind == "ps":
-            items.append({"kind": "ps", "p": e.p + 1, "phase": float(e.phase)})
-        else:
-            items.append({"kind": "diag", "phases": [float(x) for x in e.phases]})
-    return {"dim": nl.dim, "elements": items}
+    return {"dim": nl.dim, "elements": list(nl._walk(1, list))}
 
 
 def netlist_from_payload(payload: dict) -> Netlist:
+    """The columns of a netlist file, checked by ``Netlist._check``; no ``Element`` is built."""
     dim = int(payload["dim"])
     if dim > MAX_FILE_DIM:
         raise ValueError(f"netlist dim {dim} exceeds the limit of {MAX_FILE_DIM}")
-    elements = []
+    kind, ps, qs, angles, rows = [], [], [], [], []
     for item in payload["elements"]:
-        kind = item.get("kind")
-        if kind == "bs":
+        k = item.get("kind")
+        p = q = 0
+        if k == "bs":
             p, q = int(item["p"]), int(item["q"])
             if not 1 <= p < q <= dim:
                 raise ValueError(f"file bs ports ({p}, {q}) invalid for dim {dim} (1-based)")
             omega = item["omega"] if "omega" in item else omega_from_transmission(item["T"])
-            elements.append(
-                Element(
-                    kind="bs",
-                    p=p - 1,
-                    q=q - 1,
-                    omega=float(omega),
-                    alpha=float(item.get("alpha", 0.0)),
-                    beta=float(item.get("beta", 0.0)),
-                    phi=float(item.get("phi", 0.0)),
-                )
-            )
-        elif kind == "ps":
+            get = item.get
+            angles.append((float(omega), float(get("alpha", 0.0)), float(get("beta", 0.0)), float(get("phi", 0.0))))
+        elif k == "ps":
             p = int(item["p"])
             if not 1 <= p <= dim:
                 raise ValueError(f"file ps port {p} invalid for dim {dim} (1-based)")
-            elements.append(phase_shifter(p=p - 1, phase=float(item["phase"])))
-        elif kind == "diag":
-            elements.append(phase_layer(tuple(float(x) for x in item["phases"])))
+            angles.append((float(item["phase"]), 0.0, 0.0, 0.0))
+        elif k == "diag":
+            rows.append([float(x) for x in item["phases"]])
+            angles.append((0.0, 0.0, 0.0, 0.0))
         else:
-            raise ValueError(f"unknown element kind {kind!r} in netlist file")
-    return Netlist(dim=dim, elements=tuple(elements))
+            raise ValueError(f"unknown element kind {k!r} in netlist file")
+        kind.append(_KINDS.index(k))
+        ps.append(p - 1)
+        qs.append(q - 1)
+    return Netlist._from_columns(dim, kind, ps, qs, angles, rows)
 
 
 def save_netlist(path, nl: Netlist) -> None:

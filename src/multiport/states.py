@@ -8,6 +8,7 @@ with 0-based i, j, k.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import permutations
 
 import numpy as np
@@ -109,15 +110,22 @@ def preparation_unitary(psi, input_port: int = 0) -> np.ndarray:
     return complete_to_unitary(v, input_port)
 
 
-STATE_NAMES = ("bell1", "bell2", "bell3", "bell4", "qutrit2-singlet", "qutrit3-singlet")
+# The named states, in the order ``STATE_NAMES`` lists them: the one table
+# that resolution and the command-line help read.
+_STATES = {
+    **{f"bell{k}": partial(bell_state, k) for k in _BELL_PATTERNS},
+    "qutrit2-singlet": qutrit2_singlet,
+    "qutrit3-singlet": qutrit3_singlet,
+}
+STATE_NAMES = tuple(_STATES)
 
 
 def resolve_state(spec: str) -> np.ndarray:
     """Resolve a state spec string to a normalized vector.
 
-    Accepts the built-in names (bell1..bell4, qutrit2-singlet,
-    qutrit3-singlet) or ``@path.json`` pointing at a matrix file with a
-    single column of at most ``MAX_STATE_DIM`` entries.
+    Accepts a name from ``STATE_NAMES``, spelled exactly, or ``@path.json``
+    pointing at a matrix file with a single column of at most
+    ``MAX_STATE_DIM`` entries.
     """
     spec = spec.strip()
     if spec.startswith("@"):
@@ -130,13 +138,6 @@ def resolve_state(spec: str) -> np.ndarray:
         if abs(np.linalg.norm(v) - 1.0) > 1e-10:
             raise ValueError("state loaded from file is not normalized")
         return v
-    if spec.startswith("bell"):
-        try:
-            return bell_state(int(spec[4:]))
-        except ValueError:
-            raise ValueError(f"unknown state spec {spec!r}") from None
-    if spec == "qutrit2-singlet":
-        return qutrit2_singlet()
-    if spec == "qutrit3-singlet":
-        return qutrit3_singlet()
-    raise ValueError(f"unknown state spec {spec!r}; known: {', '.join(STATE_NAMES)} or @file.json")
+    if spec not in _STATES:
+        raise ValueError(f"unknown state spec {spec!r}; known: {', '.join(STATE_NAMES)} or @file.json")
+    return _STATES[spec]()

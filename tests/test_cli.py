@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from multiport import (
+    STATE_NAMES,
     analyzer_unitary,
     bell_state,
     identity_spec,
@@ -135,6 +136,20 @@ def test_prepare_unknown_state_exits_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("spec", ["bell 1", "bell01", "bell+1", "bell\u0663"])
+def test_prepare_misspelled_state_exits_4(capsys, spec):
+    code, _, err = run(capsys, "prepare", "--state", spec)
+    assert code == 4
+    assert "unknown state spec" in err
+
+
+def test_state_help_lists_every_state_name(capsys):
+    for verb in ("prepare", "predict"):
+        assert main([verb, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert ", ".join(STATE_NAMES) + ", or @file.json" in text
+
+
 # --- predict ---------------------------------------------------------------------
 
 QUARTER = "0.78539816339744831"  # pi/4, more digits than a double needs
@@ -225,6 +240,14 @@ GARBLED_NETLISTS = {
     "bs-omega-out-of-range": {"dim": 2, "elements": [{"kind": "bs", "p": 1, "q": 2, "omega": 2.0}]},
     "bs-omega-not-finite": {"dim": 2, "elements": [{"kind": "bs", "p": 1, "q": 2, "omega": float("nan")}]},
     "bare-number-element": {"dim": 2, "elements": [0.5]},
+    "diag-one-phase-short": {"dim": 3, "elements": [{"kind": "diag", "phases": [0.1, 0.2]}]},
+    "diag-no-phases": {"dim": 2, "elements": [{"kind": "diag", "phases": []}]},
+    "ps-phase-nan": {"dim": 2, "elements": [{"kind": "ps", "p": 1, "phase": float("nan")}]},
+    "bs-alpha-infinite": {"dim": 2, "elements": [
+        {"kind": "bs", "p": 1, "q": 2, "omega": 0.5, "alpha": float("inf")}]},
+    "dim-zero": {"dim": 0, "elements": []},
+    "bs-on-port-0": {"dim": 2, "elements": [{"kind": "bs", "p": 0, "q": 1, "omega": 0.5}]},
+    "unknown-kind": {"dim": 2, "elements": [{"kind": "mirror", "p": 1}]},
 }
 
 

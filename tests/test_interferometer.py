@@ -291,6 +291,21 @@ def test_bs_element_stores_omega_and_derives_transmission():
             Element(kind="bs", p=0, q=1, omega=bad)
 
 
+def test_loading_a_netlist_file_builds_no_element(tmp_path, monkeypatch):
+    u = random_unitary(27, 27)
+    path = tmp_path / "net.json"
+    save_netlist(path, netlist_from_factorization(decompose(u)))
+
+    def refuse(self):
+        raise AssertionError("a checked Element was built")
+
+    monkeypatch.setattr(Element, "__post_init__", refuse)
+    nl = load_netlist(path)
+    assert np.max(np.abs(transfer_matrix(nl) - u)) <= 1e-10
+    assert np.max(np.abs(simulate(nl, np.eye(27)[:, 3]) - u[:, 3])) <= 1e-10
+    assert render_schematic(nl, "text").startswith("netlist dim=27 elements=352\n")
+
+
 def test_netlist_file_dim_is_capped(tmp_path):
     path = tmp_path / "net.json"
     path.write_text(json.dumps({"dim": 10**12, "elements": []}))

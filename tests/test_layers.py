@@ -31,7 +31,7 @@ from multiport import (
     t_matrix,
     transfer_matrix,
 )
-from multiport.interferometer import netlist_to_payload
+from multiport.interferometer import netlist_from_payload, netlist_to_payload
 
 DIFF_TOL = 1e-14
 
@@ -99,6 +99,31 @@ def test_layered_netlist_matches_sequential_reference(nl, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(nl.dim) + 1j * rng.standard_normal(nl.dim)
     assert np.max(np.abs(simulate(nl, v) - want @ v)) <= DIFF_TOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(netlists(), st.data())
+def test_one_checker_every_way_in(nl, data):
+    payload = netlist_to_payload(nl)
+    back = netlist_from_payload(json.loads(json.dumps(payload)))
+    assert back.dim == nl.dim
+    for name in ("kind", "p", "q", "angles", "phases"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(nl, name))
+    assert json.dumps(netlist_to_payload(back)) == json.dumps(payload)
+
+    # The same bad element, in memory and in a file, at any place in the list.
+    at = data.draw(st.integers(0, len(nl.elements)))
+    dim = nl.dim
+    bad = (
+        (phase_shifter(dim, 0.5), {"kind": "ps", "p": dim + 1, "phase": 0.5}),
+        (phase_layer((0.5,) * (dim + 1)), {"kind": "diag", "phases": [0.5] * (dim + 1)}),
+    )
+    for element, item in bad:
+        with pytest.raises(ValueError):
+            Netlist(dim, nl.elements[:at] + (element,) + nl.elements[at:])
+        items = payload["elements"][:at] + [item] + payload["elements"][at:]
+        with pytest.raises(ValueError):
+            netlist_from_payload({"dim": dim, "elements": items})
 
 
 @settings(max_examples=100, deadline=None)
