@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .numerics import as_vector, equal_up_to_global_phase, read_json, write_json
+from .numerics import as_vector, read_json, rows_equal_up_to_global_phase, write_json
 from .observables import ObservableSpec
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
 LINK_TOL = 1e-8
 _ORTHO_TOL = 1e-10
 MAX_FILE_RAYS = 2048  # most rays read from a file, checked before any Ray: a 64 MB Gram matrix
+_CONFIRM_ENTRIES = 1 << 20  # vector entries per candidate-confirming step: 16 MB per temporary
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +111,9 @@ def _shared_pairs(xs, ys, tol: float) -> list[tuple[int, int]]:
     the candidates: a pair equal within ``tol`` entrywise has
     ``||x - c y||^2 <= n tol^2``, so for norms 1 +- 1e-10 its entry is at least
     ``1 - n tol^2 / 2 - 1e-9``.  The Gram matrix only prefilters: at
-    ``tol = 1e-8`` the gap ``1 - |<x, y>|`` is below double rounding, so each
-    candidate is confirmed with ``equal_up_to_global_phase``.
+    ``tol = 1e-8`` the gap ``1 - |<x, y>|`` is below double rounding, so the
+    candidates are confirmed with ``rows_equal_up_to_global_phase``, in steps
+    of at most ``_CONFIRM_ENTRIES`` vector entries.
     """
     upper = ys is None
     if upper:
@@ -120,15 +122,17 @@ def _shared_pairs(xs, ys, tol: float) -> list[tuple[int, int]]:
     for n in {x.size for x in xs} & {y.size for y in ys}:
         ix = [i for i, x in enumerate(xs) if x.size == n]
         iy = ix if upper else [j for j, y in enumerate(ys) if y.size == n]
-        gram = np.abs(np.array([xs[i] for i in ix]).conj() @ np.array([ys[j] for j in iy]).T)
-        hit = gram >= 1.0 - n * tol * tol / 2 - 1e-9
+        x = np.array([xs[i] for i in ix])
+        y = x if upper else np.array([ys[j] for j in iy])
+        hit = np.abs(x.conj() @ y.T) >= 1.0 - n * tol * tol / 2 - 1e-9
         if upper:
             hit = np.triu(hit, 1)
-        pairs += [
-            (ix[p], iy[q])
-            for p, q in zip(*np.nonzero(hit))
-            if equal_up_to_global_phase(xs[ix[p]], ys[iy[q]], tol)
-        ]
+        p, q = np.nonzero(hit)
+        step = max(1, _CONFIRM_ENTRIES // n)
+        for lo in range(0, p.size, step):
+            cp, cq = p[lo : lo + step], q[lo : lo + step]
+            ok = rows_equal_up_to_global_phase(x[cp], y[cq], tol)
+            pairs += [(ix[a], iy[b]) for a, b in zip(cp[ok].tolist(), cq[ok].tolist())]
     return sorted(pairs)
 
 

@@ -4,7 +4,8 @@
 neighbouring columns (j, j+1) until only a unit-modulus diagonal is left,
 then records that diagonal as phases.  The cells form the nearest-neighbour
 triangle of Reck et al. (PRL 73, 58 (1994)), of optical depth 2n-3, and
-each of its layers is solved and applied as one array step.
+each of its layers is solved as one array step and applied as one batched
+2x2 product.
 ``reconstruct`` rebuilds the original unitary from the factors, layer by
 layer, so ``reconstruct(decompose(u)) == u`` to float accuracy.
 """
@@ -20,12 +21,13 @@ from .devices import (
     TParams,
     TWO,
     _Mesh,
+    _apply_pairs,
     _checked_mixings,
     _checked_phases,
+    _stack,
     _t_block,
     _trusted,
     apply_layers,
-    apply_two_port,
 )
 from .numerics import as_matrix, read_json, unitarity_deviation, write_json
 
@@ -136,7 +138,7 @@ class Factorization(_Mesh):
     def _coefficients(self) -> tuple:
         """Every factor's adjoint block, so the layers apply T_1^dagger first."""
         (a, b), (c, d) = _t_block(self.omega, self.phi)  # a, b are real
-        return (a, c.conj(), b, d.conj()), None
+        return ((a, c.conj()), (b, d.conj())), None
 
 
 def solve_t_layer(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,8 +168,10 @@ def decompose(u) -> Factorization:
     Rows are processed bottom-up; within row i, entry (i, j) is nulled against
     (i, j+1) for j = 0 .. i-1, so every cell mixes columns j and j+1.  Cell
     (i, j) only waits for cells on those columns, which puts it in layer
-    j + 2(n-1-i) + 1 of 2n-3; each layer is solved with ``solve_t_layer`` and
-    applied as one array step, and the factors are listed layer by layer.
+    j + 2(n-1-i) + 1 of 2n-3.  A layer's entries (i, j) and (i, j+1) are read
+    as two strided views of the working matrix and solved with
+    ``solve_t_layer``; its cells are applied as one batched 2x2 product and
+    listed layer by layer, by column within a layer.
     Entries already below 1e-14 are skipped, so the factor count is at most
     n(n-1)/2.  Permutation-like inputs are no longer short: each 1 walks to
     the diagonal through swap cells (omega = 0), one per inversion, so the
@@ -190,18 +194,26 @@ def decompose(u) -> Factorization:
         raise ValueError(f"input is not unitary (deviation {dev:.3e} > {UNITARY_TOL:g})")
 
     w = m.T.copy()  # row j of w is column j of the working matrix
+    flat = w.reshape(-1)
+    step = 2 * n + 1  # from w[j, i] to w[j+2, i+1], the next cell of a layer
     cells = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
     for layer in range(1, 2 * n - 2):
-        r = np.arange(max(0, layer - n + 1), (layer - 1) // 2 + 1)  # rows i = n-1-r
-        j = layer - 1 - 2 * r
-        i = n - 1 - r
-        keep, omega, phi = solve_t_layer(w[j, i], w[j + 1, i])
-        if not keep.all():
+        top = (layer - 1) // 2  # the layer's cells sit in rows i = n-1-r, r <= top
+        count = top - max(0, layer - n + 1) + 1
+        j0 = layer - 1 - 2 * top  # lowest column; columns step up by 2, rows by 1
+        at = j0 * n + n - 1 - top
+        stop = at + count * step
+        keep, omega, phi = solve_t_layer(flat[at:stop:step], flat[at + n : stop + n : step])
+        kept = np.count_nonzero(keep)
+        if not kept:
+            continue
+        j = np.arange(j0, j0 + 2 * count, 2)
+        where = slice(j0, j0 + 2 * count)
+        if kept < count:
             j, omega, phi = j[keep], omega[keep], phi[keep]
-            if not j.size:
-                continue
-        (a, b), (c, d) = _t_block(omega[:, None], phi[:, None])
-        apply_two_port(w, j, j + 1, ((a, c), (b, d)))  # columns times T: rows times T^T
+            where = np.stack((j, j + 1), axis=1)
+        (a, b), (c, d) = _t_block(omega, phi)
+        _apply_pairs(w, where, _stack(((a, c), (b, d))))  # columns times T: rows times T^T
         cells.append((j, omega, phi))
 
     angles = np.angle(np.diagonal(w))

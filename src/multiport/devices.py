@@ -1,6 +1,12 @@
 """Two-port cell algebra: the elimination cell, the decorated beam splitter,
 and the Mach-Zehnder realization, plus parameter fitting between them; and
-the kernel that applies cells, one at a time or a layer of them at once.
+the kernel that applies cells.
+
+The kernel applies a layer of w cells on distinct rows as one batched
+``(w, 2, 2) @ (w, 2, cols)`` product.  A layer of cells (p, p+1) with p
+stepping by 2 covers one contiguous run of rows, read as a strided view;
+any other layer gathers and scatters its row pairs through a (w, 2) index
+array.  A single cell is the w = 1 case.
 
 Conventions
 -----------
@@ -174,18 +180,37 @@ def t_matrix(p: TParams) -> np.ndarray:
     return np.array(_t_block(p.omega, p.phi), dtype=np.complex128)
 
 
+def _stack(block) -> np.ndarray:
+    """A (w, 2, 2) coefficient stack, as a view, from nested pairs of length-w arrays."""
+    return np.array(block, dtype=np.complex128).transpose(2, 0, 1)
+
+
+def _apply_pairs(rows: np.ndarray, where, coef: np.ndarray) -> None:
+    """``rows[pair k] = coef[k] @ rows[pair k]`` for every k, as one batched matmul.
+
+    ``rows`` is 2-D.  ``where`` is a slice over a run of 2w rows, read as
+    w consecutive pairs through a view, or a (w, 2) array of row pairs,
+    gathered and scattered back.  A view that would need a copy raises
+    rather than leave ``rows`` unchanged.
+    """
+    if isinstance(where, slice):
+        pairs = rows[where].reshape(len(coef), 2, rows.shape[1], copy=False)
+        pairs[...] = coef @ pairs
+    else:
+        rows[where] = coef @ rows[where]
+
+
 def apply_two_port(m: np.ndarray, p: int, q: int, block) -> None:
     """Multiply rows ``p`` and ``q`` of ``m`` in place by a 2x2 block.
 
     The effect is ``m[[p, q]] = block @ m[[p, q]]``; ``m`` is a matrix or a
     vector, and ``m.T`` acts on columns.  ``block`` is a 2x2 array or nested
-    pairs of numbers.  For a layer of cells at once, ``p`` and ``q`` are
-    equal-length integer arrays of distinct ports and the four entries are
-    arrays that broadcast against ``m[p]``.  The one way a cell is applied.
+    pairs of numbers.  This is the one-cell case of the layer kernel that
+    ``decompose`` and ``apply_layers`` use.
     """
-    (a, b), (c, d) = block
-    x, y = m[p], m[q]
-    m[p], m[q] = a * x + b * y, c * x + d * y
+    rows = m if m.ndim == 2 else m[:, None]
+    where = slice(p, p + 2) if q == p + 1 else np.array([[p, q]])
+    _apply_pairs(rows, where, np.asarray(block, dtype=np.complex128).reshape(1, 2, 2))
 
 
 # --- layers ---------------------------------------------------------------
@@ -221,43 +246,48 @@ def schedule(kind: np.ndarray, p: np.ndarray, q: np.ndarray, dim: int) -> np.nda
 
 
 def layer_steps(layers, kind, p, q, block, rows) -> list:
-    """Steps for ``apply_layers``: one per layer and kind, in layer order.
+    """Steps ``(where, coef)`` for ``apply_layers``: one per layer and kind, in layer order.
 
-    ``block`` holds the entries (a, b, c, d) of each TWO element as arrays
-    indexed like ``kind``; ``a`` also holds the factor of each ONE element.
-    ``rows[r]`` holds the per-row factors of the r-th ALL element.  A layer of
-    one cell keeps plain ports and numbers for the scalar kernel.
+    ``block`` holds the entries ((a, b), (c, d)) of each TWO element as
+    arrays indexed like ``kind``; ``a`` also holds the factor of each ONE
+    element.  ``rows[r]`` holds the per-row factors of the r-th ALL element.
+    The blocks form one (K, 2, 2) stack in layer order, and each TWO layer
+    takes a slice of it: its ``where`` is a slice of rows when its cells are
+    (p, p+1) with p stepping by 2, and a (w, 2) array of row pairs otherwise.
+    A ONE or ALL step has a column of factors as ``coef``.
     """
     key = 3 * layers + kind
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    ps, qs = p[order], q[order]
-    a, b, c, d = (x[order][:, None] for x in block)
+    order = np.lexsort((p, key))
+    key, ps, qs = key[order], p[order], q[order]
+    coef = _stack(block)[order]
     row_of = np.cumsum(kind == ALL)[order] - 1
-    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    # A cell breaks a run unless q = p + 1 and, past its layer's first cell, p is 2 above the last.
+    breaks = (qs != ps + 1) | (np.diff(ps, prepend=0) != 2)
+    breaks[starts] = qs[starts] != ps[starts] + 1
+    irregular = np.logical_or.reduceat(breaks, starts).tolist()
     steps = []
-    for lo, hi in zip(starts, starts[1:] + [len(key)]):
+    for lo, hi, odd in zip(starts.tolist(), starts[1:].tolist() + [len(key)], irregular):
         k = key[lo] % 3
         if k == ALL:
-            steps.append((slice(None), None, rows[row_of[lo]][:, None]))
+            steps.append((slice(None), rows[row_of[lo]][:, None]))
         elif k == ONE:
-            steps.append((ps[lo:hi], None, a[lo:hi]))
-        elif hi - lo == 1:
-            steps.append((int(ps[lo]), int(qs[lo]), ((a[lo, 0], b[lo, 0]), (c[lo, 0], d[lo, 0]))))
+            steps.append((ps[lo:hi], coef[lo:hi, 0, :1]))
+        elif odd:
+            steps.append((np.stack((ps[lo:hi], qs[lo:hi]), axis=1), coef[lo:hi]))
         else:
-            s = slice(lo, hi)
-            steps.append((ps[s], qs[s], ((a[s], b[s]), (c[s], d[s]))))
+            steps.append((slice(int(ps[lo]), int(ps[hi - 1]) + 2), coef[lo:hi]))
     return steps
 
 
 def apply_layers(m: np.ndarray, steps) -> None:
     """Apply ``layer_steps`` in place to the rows of a matrix or a vector."""
     rows = m if m.ndim == 2 else m[:, None]
-    for p, q, coef in steps:
-        if q is None:
-            rows[p] *= coef
+    for where, coef in steps:
+        if coef.ndim == 3:
+            _apply_pairs(rows, where, coef)
         else:
-            apply_two_port(rows, p, q, coef)
+            rows[where] *= coef
 
 
 class _Mesh:
@@ -274,11 +304,16 @@ class _Mesh:
     _view = ""
 
     @classmethod
-    def _from_columns(cls, dim, *columns):
-        """An instance straight from its columns, without the tuple view."""
+    def _from_columns(cls, dim, *columns, layers=None):
+        """An instance straight from its columns, without the tuple view.
+
+        ``layers``, when given, is the elements' ASAP schedule, already known.
+        """
         obj = object.__new__(cls)
         object.__setattr__(obj, "dim", int(dim))
         obj._store_columns(*columns)
+        if layers is not None:
+            object.__setattr__(obj, "_layer_of", layers)
         return obj
 
     def _store_columns(self, *columns) -> None:

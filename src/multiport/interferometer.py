@@ -13,11 +13,12 @@ Element kinds
 list hits the input state first.  ``transfer_matrix`` and ``simulate`` apply
 a netlist layer by layer: an ASAP schedule, built once per netlist, puts
 each element one layer above the latest element on its ports (a ``diag`` is
-a barrier), and each layer is one array step.  A mesh compiled from a
-dense n x n unitary has depth 2n-2: 2n-3 layers of cells plus the final
-``diag``.  Ports are 0-based in memory and 1-based in files and rendered
-output.  Netlist files write ``"omega"``; a ``bs`` with only ``"T"`` (the
-older format) is still read.
+a barrier), and each layer is one array step, a batched 2x2 product for a
+layer of ``bs`` cells.  A compiled netlist takes its factorization's
+schedule.  A mesh compiled from a dense n x n unitary has depth 2n-2: 2n-3
+layers of cells plus the final ``diag``.  Ports are 0-based in memory and
+1-based in files and rendered output.  Netlist files write ``"omega"``; a
+``bs`` with only ``"T"`` (the older format) is still read.
 
 A netlist is held to one set of rules, checked once per column array by
 ``Netlist._check``, whether it is built from elements, compiled from a
@@ -208,7 +209,7 @@ class Netlist(_Mesh):
         omega, alpha, beta, phi = self.angles.T
         (a, b), (c, d) = _bs_block(omega, alpha, beta, phi)
         a = np.where(self.kind == ONE, np.exp(1j * omega), a)  # a ps's phase sits in the omega column
-        return (a, b, c, d), np.exp(1j * self.phases)
+        return ((a, b), (c, d)), np.exp(1j * self.phases)
 
 
 def _element_columns(els) -> tuple:
@@ -243,7 +244,8 @@ def netlist_from_factorization(f: Factorization) -> Netlist:
     final diag layer realizes the adjoint of the factorization's diagonal.
     The diag layer is always present, even when every phase is zero, so the
     layout is uniform.  The whole compile is array arithmetic on the
-    factorization's columns.
+    factorization's columns, and the netlist takes the factorization's ASAP
+    schedule with the diag as one more layer rather than scheduling again.
     """
     k = f.p.size
     angles = np.empty((k + 1, 4))
@@ -254,7 +256,8 @@ def netlist_from_factorization(f: Factorization) -> Netlist:
     angles[k] = 0.0
     kind = np.append(np.full(k, TWO), ALL)
     return Netlist._from_columns(
-        f.dim, kind, np.append(f.p, -1), np.append(f.q, -1), angles, -f.diagonal[None, :]
+        f.dim, kind, np.append(f.p, -1), np.append(f.q, -1), angles, -f.diagonal[None, :],
+        layers=np.append(f._layers(), f.depth + 1),
     )
 
 

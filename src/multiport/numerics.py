@@ -21,6 +21,7 @@ __all__ = [
     "random_unitary",
     "complete_to_unitary",
     "equal_up_to_global_phase",
+    "rows_equal_up_to_global_phase",
     "save_matrix",
     "load_matrix",
     "matrix_to_payload",
@@ -150,23 +151,34 @@ def complete_to_unitary(column: ArrayLike, position: int) -> np.ndarray:
 def equal_up_to_global_phase(a: ArrayLike, b: ArrayLike, tol: float = 1e-10) -> bool:
     """True iff ``a == c * b`` entrywise within ``tol`` for some |c| = 1.
 
-    The candidate phase is read off at the entry where |a| + |b| is largest;
-    when either entry there is below ``tol`` the arrays are compared directly
-    (only near-zero arrays can still match).
+    The one-row case of ``rows_equal_up_to_global_phase``, over all entries.
     """
     x = np.asarray(a, dtype=np.complex128)
     y = np.asarray(b, dtype=np.complex128)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    if x.size == 0:
-        return True
-    mag = np.abs(x) + np.abs(y)
-    idx = np.unravel_index(int(np.argmax(mag)), mag.shape)
-    if abs(x[idx]) <= tol or abs(y[idx]) <= tol:
-        return bool(np.max(np.abs(x - y)) <= tol)
-    c = x[idx] / y[idx]
-    c = c / abs(c)
-    return bool(np.max(np.abs(x - c * y)) <= tol)
+    return bool(rows_equal_up_to_global_phase(x.reshape(1, -1), y.reshape(1, -1), tol)[0])
+
+
+def rows_equal_up_to_global_phase(a: ArrayLike, b: ArrayLike, tol: float = 1e-10) -> np.ndarray:
+    """For two (k, n) arrays, whether ``a[r] == c_r * b[r]`` within ``tol`` for some |c_r| = 1.
+
+    Each row's candidate phase is read off at the entry where |a| + |b| is
+    largest; when either entry there is below ``tol`` the rows are compared
+    directly (only near-zero rows can still match).  Rows of no entries match.
+    """
+    x = np.asarray(a, dtype=np.complex128)
+    y = np.asarray(b, dtype=np.complex128)
+    if x.shape != y.shape or x.ndim != 2:
+        raise ValueError(f"need two (k, n) arrays, got {x.shape} and {y.shape}")
+    if x.shape[1] == 0:
+        return np.ones(x.shape[0], dtype=bool)
+    at = (np.arange(x.shape[0]), np.argmax(np.abs(x) + np.abs(y), axis=1))
+    xi, yi = x[at], y[at]
+    direct = (np.abs(xi) <= tol) | (np.abs(yi) <= tol)
+    c = np.where(direct, 1.0, xi / np.where(direct, 1.0, yi))
+    c = c / np.abs(c)
+    return np.max(np.abs(x - c[:, None] * y), axis=1) <= tol
 
 
 # --- JSON persistence ---------------------------------------------------

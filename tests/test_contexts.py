@@ -23,7 +23,7 @@ from multiport import (
 )
 import multiport.contexts
 from multiport.contexts import LINK_TOL, MAX_FILE_RAYS, context_graph_from_payload
-from multiport.numerics import dyadic, equal_up_to_global_phase
+from multiport.numerics import dyadic, equal_up_to_global_phase, rows_equal_up_to_global_phase
 
 import refdata
 
@@ -468,14 +468,18 @@ def chain_graph(rng, length):
 
 
 def test_validation_makes_linear_number_of_exact_comparisons(monkeypatch):
-    calls = []
+    rows = []
 
     def counting(a, b, tol):
-        calls.append(tol)
-        return equal_up_to_global_phase(a, b, tol)
+        rows.append(len(a))
+        return rows_equal_up_to_global_phase(a, b, tol)
 
-    monkeypatch.setattr(multiport.contexts, "equal_up_to_global_phase", counting)
+    monkeypatch.setattr(multiport.contexts, "rows_equal_up_to_global_phase", counting)
     g = chain_graph(np.random.default_rng(20), 20)
     assert validate_context_graph(g).ok
     # 60 rays make 1770 pairs; only the 19 shared rays need the exact check.
-    assert 0 < len(calls) <= 4 * len(g.contexts)
+    assert 0 < sum(rows) <= 4 * len(g.contexts)
+    # A graph whose rays are all distinct has no candidates and confirms nothing.
+    rows.clear()
+    assert validate_context_graph(ContextGraph(contexts=g.contexts[:1])).ok
+    assert rows == []

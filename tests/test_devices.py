@@ -20,7 +20,7 @@ from multiport import (
     unitarity_deviation,
     wrap_angle,
 )
-from multiport.devices import apply_two_port
+from multiport.devices import TWO, apply_layers, apply_two_port, layer_steps
 
 import refdata
 
@@ -137,21 +137,37 @@ def _complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+# Each target with the cells of one layer.  A single cell takes the gathered
+# path; cells (p, p+1) with p stepping by 2 are read as one strided view of
+# the target, which for a transposed matrix or a vector is not contiguous.
 KERNEL_TARGETS = {
-    "matrix": lambda rng: _complex(rng, (5, 4)),
-    "vector": lambda rng: _complex(rng, 5),
-    "transposed-view": lambda rng: _complex(rng, (4, 5)).T,
+    "matrix": (lambda rng: _complex(rng, (5, 4)), [(1, 3)]),
+    "vector": (lambda rng: _complex(rng, 5), [(1, 3)]),
+    "transposed-view": (lambda rng: _complex(rng, (4, 5)).T, [(1, 3)]),
+    "regular-run-vector": (lambda rng: _complex(rng, 7), [(1, 2), (3, 4), (5, 6)]),
+    "regular-run-transposed-view": (lambda rng: _complex(rng, (4, 7)).T, [(1, 2), (3, 4), (5, 6)]),
 }
 
 
 @pytest.mark.parametrize("as_tuple", [False, True], ids=["ndarray-block", "tuple-block"])
-@pytest.mark.parametrize("make", KERNEL_TARGETS.values(), ids=KERNEL_TARGETS.keys())
-def test_apply_two_port_matches_block_product(make, as_tuple):
+@pytest.mark.parametrize("make, cells", KERNEL_TARGETS.values(), ids=KERNEL_TARGETS.keys())
+def test_apply_two_port_matches_block_product(make, cells, as_tuple):
+    blocks = np.array([t_bs(BsParams(0.4 + 0.3 * k, 1.0 - k, -2.0, 0.3)) for k in range(len(cells))])
+    want = make(np.random.default_rng(11))
+    for (p, q), block in zip(cells, blocks):
+        want[[p, q]] = block @ want[[p, q]]
+
     m = make(np.random.default_rng(11))
-    block = t_bs(BsParams(0.4, 1.0, -2.0, 0.3))
-    want = m.copy()
-    want[[1, 3]] = block @ want[[1, 3]]
-    apply_two_port(m, 1, 3, tuple(map(tuple, block)) if as_tuple else block)
+    for (p, q), block in zip(cells, blocks):
+        apply_two_port(m, p, q, tuple(map(tuple, block)) if as_tuple else block)
+    assert np.max(np.abs(m - want)) <= 1e-15
+
+    # The same cells as one layer: one batched product, written through the view.
+    m = make(np.random.default_rng(11))
+    p, q = np.array(cells).T
+    steps = layer_steps(np.ones_like(p), np.full_like(p, TWO), p, q, blocks.transpose(1, 2, 0), None)
+    assert len(steps) == 1 and isinstance(steps[0][0], slice) == (len(cells) > 1)
+    apply_layers(m, steps)
     assert np.max(np.abs(m - want)) <= 1e-15
 
 

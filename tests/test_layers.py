@@ -20,17 +20,20 @@ from multiport import (
     TFactor,
     TParams,
     decompose,
+    load_factorization,
     load_netlist,
     netlist_from_factorization,
     phase_layer,
     phase_shifter,
     random_unitary,
     reconstruct,
+    save_factorization,
     simulate,
     t_bs,
     t_matrix,
     transfer_matrix,
 )
+from multiport.devices import schedule
 from multiport.interferometer import netlist_from_payload, netlist_to_payload
 
 DIFF_TOL = 1e-14
@@ -89,6 +92,46 @@ def factorizations(draw):
         for _ in range(draw(st.integers(0, dim * (dim - 1) // 2)))
     ]
     return Factorization(dim, tuple(factors), tuple(draw(st.lists(phase, min_size=dim, max_size=dim))))
+
+
+def near_permutation(rng, n, eps):
+    """P exp(i eps H) for a random permutation P and Hermitian H."""
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w, v = np.linalg.eigh(a + a.conj().T)
+    return np.eye(n)[rng.permutation(n)] @ ((v * np.exp(1j * eps * w)) @ v.conj().T)
+
+
+def block_diagonal(rng, sizes):
+    """Direct sum of Haar blocks of the given sizes: the cells between blocks are skipped."""
+    u = np.zeros((sum(sizes), sum(sizes)), dtype=np.complex128)
+    at = 0
+    for size in sizes:
+        u[at : at + size, at : at + size] = random_unitary(size, int(rng.integers(2**31)))
+        at += size
+    return u
+
+
+@st.composite
+def skip_heavy_unitaries(draw):
+    """Near-permutations and block-diagonal unitaries, n = 2..12; at eps = 0 most cells are skipped."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return near_permutation(rng, draw(st.integers(2, 12)), draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.3])))
+    return block_diagonal(rng, draw(st.lists(st.integers(1, 4), min_size=2, max_size=3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(skip_heavy_unitaries(), st.integers(0, 2**32 - 1))
+def test_compiled_skip_heavy_mesh_matches_sequential_reference(u, seed):
+    # Their layers mix regular runs of rows with gathered row pairs.
+    f = decompose(u)
+    assert np.max(np.abs(reconstruct(f) - sequential_reconstruct(f))) <= DIFF_TOL
+    nl = netlist_from_factorization(f)
+    want = sequential_transfer(nl)
+    assert np.max(np.abs(transfer_matrix(nl) - want)) <= DIFF_TOL
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(nl.dim) + 1j * rng.standard_normal(nl.dim)
+    assert np.max(np.abs(simulate(nl, v) - want @ v)) <= DIFF_TOL
 
 
 @settings(max_examples=150, deadline=None)
@@ -184,6 +227,35 @@ def test_dense_unitary_gives_the_nearest_neighbour_triangle(n):
     assert all(fac.q == fac.p + 1 for fac in f.factors)
     assert f.depth == 2 * n - 3
     assert netlist_from_factorization(f).depth == 2 * n - 2  # plus the final diag
+
+
+def _factorization_file(tmp_path):
+    path = tmp_path / "factors.json"
+    save_factorization(path, long_range_factorization(7, 3))
+    return load_factorization(path)
+
+
+# The triangle's layers are regular runs of rows; skipped and long-range cells gather.
+SCHEDULE_INPUTS = [
+    pytest.param(lambda tmp_path: decompose(random_unitary(9, 4)), False, id="dense"),
+    pytest.param(
+        lambda tmp_path: decompose(near_permutation(np.random.default_rng(6), 12, 1e-3)), False, id="near-permutation"
+    ),
+    pytest.param(
+        lambda tmp_path: decompose(block_diagonal(np.random.default_rng(7), [3, 4, 2, 3])), True, id="block-diagonal"
+    ),
+    pytest.param(_factorization_file, True, id="long-range-file"),
+]
+
+
+@pytest.mark.parametrize("make, gathers", SCHEDULE_INPUTS)
+def test_compiled_netlist_inherits_the_factorization_schedule(make, gathers, tmp_path):
+    f = make(tmp_path)
+    nl = netlist_from_factorization(f)
+    np.testing.assert_array_equal(nl._layers(), schedule(nl.kind, nl.p, nl.q, nl.dim))
+    assert nl.depth == f.depth + 1
+    gathered = [not isinstance(where, slice) for where, coef in nl._steps() if coef.ndim == 3]
+    assert any(gathered) == gathers
 
 
 PERMUTATIONS = [pytest.param(np.eye(n)[::-1], id=f"reversal{n}") for n in range(2, 9)]

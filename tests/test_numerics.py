@@ -15,6 +15,7 @@ from multiport import (
     save_matrix,
     unitarity_deviation,
 )
+from multiport.numerics import rows_equal_up_to_global_phase
 
 import refdata
 
@@ -175,6 +176,18 @@ def test_equal_up_to_global_phase_detects_i():
 
 def test_equal_up_to_global_phase_rejects_orthogonal():
     assert not equal_up_to_global_phase([1.0, 0.0], [0.0, 1.0])
+
+
+def test_rows_equal_up_to_global_phase_decides_each_row_alone():
+    v = np.array([0.6, 0.8j])
+    a = np.array([v, v, [1e-11, 0.0], [1.0, 0.0], v])
+    b = np.array([np.exp(2.1j) * v, [0.8j, 0.6], [0.0, 1e-11], [0.0, 1.0], v + [1e-6, 0.0]])
+    want = [True, False, True, False, False]
+    assert rows_equal_up_to_global_phase(a, b, 1e-10).tolist() == want
+    assert [equal_up_to_global_phase(x, y, 1e-10) for x, y in zip(a, b)] == want
+    assert rows_equal_up_to_global_phase(np.zeros((2, 0)), np.zeros((2, 0))).tolist() == [True, True]
+    with pytest.raises(ValueError):
+        rows_equal_up_to_global_phase(v, v)
 
 
 def test_equal_up_to_global_phase_tolerance():
