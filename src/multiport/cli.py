@@ -21,8 +21,8 @@ import numpy as np
 
 from .contexts import (
     BUILTIN_GRAPHS,
-    _dot_text,
     builtin_graph,
+    greechie_dot,
     load_context_graph,
     validate_context_graph,
 )
@@ -281,7 +281,7 @@ def _cmd_contexts(args) -> int:
     ]
     lines.extend(f"link {x['a']} {x['b']} via {x['label']}" for x in record["links"])
 
-    dot = _dot_text(graph)
+    dot = greechie_dot(graph)
     record["dot"] = dot
     if args.dot:
         _write_text(args.dot, dot, "dot_file", lines, record)

@@ -5,12 +5,21 @@ basis) with one label per ray.  Two contexts are linked where they share a
 ray up to a global phase.  ``validate_context_graph`` is total: it returns
 a structured report instead of raising, so impossible label structures can
 be handed to it and come back flagged.
+
+Every part of a graph is read-only.  A ``Ray`` keeps its own read-only copy
+of its vector, and a ``Context`` stacks its rays once, into a read-only
+``(k, n)`` matrix (None when its rays differ in size).  Links and
+validation read those matrices: one Gram matrix ``|X* Y^T|`` of two stacks
+picks the rays they share, and the validator's Gram matrix over the whole
+graph also gives each context's orthogonality.  A ``ContextGraph`` keeps
+the report of its first validation, so ``greechie_dot`` does not validate
+the same graph again.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -43,34 +52,44 @@ _CONFIRM_ENTRIES = 1 << 20  # vector entries per candidate-confirming step: 16 M
 
 @dataclass(frozen=True, eq=False)
 class Ray:
-    """A labeled unit vector (direction in state space)."""
+    """A labeled unit vector (direction in state space), stored as a read-only copy."""
 
     label: str
     vector: np.ndarray
 
     def __post_init__(self):
-        v = as_vector(self.vector)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        v = as_vector(np.array(self.vector, dtype=np.complex128))
+        if abs(np.sqrt(np.vdot(v, v).real) - 1.0) > 1e-10:
             raise ValueError(f"ray {self.label!r} must have unit norm")
+        v.flags.writeable = False
         object.__setattr__(self, "vector", v)
         object.__setattr__(self, "label", str(self.label))
 
 
 @dataclass(frozen=True, eq=False)
 class Context:
-    """A named tuple of rays.
+    """A named tuple of rays, stacked once into ``matrix``.
 
-    Orthonormality is deliberately NOT enforced here -- building an invalid
-    context must be possible so that the validator can report it.
+    ``matrix`` is the read-only ``(k, n)`` array of the k rays when they all
+    have size n, and None when their sizes differ.  Orthonormality is
+    deliberately NOT enforced here -- building an invalid context must be
+    possible so that the validator can report it.
     """
 
     name: str
     rays: tuple[Ray, ...]
+    matrix: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(self.rays))
-        if not self.rays:
+        rays = tuple(self.rays)
+        if not rays:
             raise ValueError("a context needs at least one ray")
+        matrix = None
+        if len({r.vector.size for r in rays}) == 1:
+            matrix = np.array([r.vector for r in rays])
+            matrix.flags.writeable = False
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:
@@ -83,9 +102,14 @@ class Context:
 
 @dataclass(frozen=True, eq=False)
 class ContextGraph:
-    """An ordered collection of contexts sharing a label namespace."""
+    """An ordered collection of contexts sharing a label namespace.
+
+    Its parts are read-only, so the graph keeps the report of its first
+    validation; a new graph of the same contexts is validated afresh.
+    """
 
     contexts: tuple[Context, ...]
+    _report: ValidationReport | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "contexts", tuple(self.contexts))
@@ -103,42 +127,58 @@ def context_of(spec: ObservableSpec, names, name: str = "context") -> Context:
     return Context(name=name, rays=rays)
 
 
-def _shared_pairs(xs, ys, tol: float) -> list[tuple[int, int]]:
-    """Index pairs ``(i, j)``, row-major, with ``xs[i]`` equal to ``ys[j]`` up to phase.
+def _shared_rows(x: np.ndarray, y: np.ndarray | None, tol: float):
+    """Rows of two matrices equal up to phase, and the Gram matrix that found them.
 
-    ``ys=None`` pairs ``xs`` with itself and keeps ``i < j``.  Vectors of
-    different sizes never match.  One Gram matrix ``|X* Y^T|`` per size picks
-    the candidates: a pair equal within ``tol`` entrywise has
-    ``||x - c y||^2 <= n tol^2``, so for norms 1 +- 1e-10 its entry is at least
-    ``1 - n tol^2 / 2 - 1e-9``.  The Gram matrix only prefilters: at
+    Returns ``(p, q, gram)``: index arrays, row-major, with ``x[p]`` equal to
+    ``y[q]`` up to phase, and ``gram = |X* Y^T|``.  ``y=None`` pairs ``x``
+    with itself and keeps ``p < q``.  The Gram matrix only prefilters: a pair
+    equal within ``tol`` entrywise has ``||x - c y||^2 <= n tol^2``, so for
+    norms 1 +- 1e-10 its entry is at least ``1 - n tol^2 / 2 - 1e-9``.  At
     ``tol = 1e-8`` the gap ``1 - |<x, y>|`` is below double rounding, so the
     candidates are confirmed with ``rows_equal_up_to_global_phase``, in steps
     of at most ``_CONFIRM_ENTRIES`` vector entries.
     """
-    upper = ys is None
+    n = x.shape[1]
+    upper = y is None
     if upper:
-        ys = xs
+        y = x
+    gram = np.abs(x.conj() @ y.T)
+    hit = gram >= 1.0 - n * tol * tol / 2 - 1e-9
+    p, q = np.nonzero(np.triu(hit, 1) if upper else hit)
+    if p.size:
+        step = max(1, _CONFIRM_ENTRIES // n)
+        ok = np.concatenate([
+            rows_equal_up_to_global_phase(x[p[lo : lo + step]], y[q[lo : lo + step]], tol)
+            for lo in range(0, p.size, step)
+        ])
+        p, q = p[ok], q[ok]
+    return p, q, gram
+
+
+def _shared_pairs(xs, ys, tol: float) -> list[tuple[int, int]]:
+    """Index pairs ``(i, j)``, row-major, with ``xs[i]`` equal to ``ys[j]`` up to phase.
+
+    The path for vectors of mixed sizes: vectors of different sizes never
+    match, and ``_shared_rows`` compares the vectors of each size.
+    """
     pairs = []
     for n in {x.size for x in xs} & {y.size for y in ys}:
         ix = [i for i, x in enumerate(xs) if x.size == n]
-        iy = ix if upper else [j for j, y in enumerate(ys) if y.size == n]
-        x = np.array([xs[i] for i in ix])
-        y = x if upper else np.array([ys[j] for j in iy])
-        hit = np.abs(x.conj() @ y.T) >= 1.0 - n * tol * tol / 2 - 1e-9
-        if upper:
-            hit = np.triu(hit, 1)
-        p, q = np.nonzero(hit)
-        step = max(1, _CONFIRM_ENTRIES // n)
-        for lo in range(0, p.size, step):
-            cp, cq = p[lo : lo + step], q[lo : lo + step]
-            ok = rows_equal_up_to_global_phase(x[cp], y[cq], tol)
-            pairs += [(ix[a], iy[b]) for a, b in zip(cp[ok].tolist(), cq[ok].tolist())]
+        iy = [j for j, y in enumerate(ys) if y.size == n]
+        p, q, _ = _shared_rows(np.array([xs[i] for i in ix]), np.array([ys[j] for j in iy]), tol)
+        pairs += [(ix[a], iy[b]) for a, b in zip(p.tolist(), q.tolist())]
     return sorted(pairs)
 
 
 def links_between(c1: Context, c2: Context, tol: float = LINK_TOL) -> list[tuple[Ray, Ray]]:
-    """Pairs of rays shared (up to global phase) between two contexts."""
-    pairs = _shared_pairs([r.vector for r in c1.rays], [r.vector for r in c2.rays], tol)
+    """Pairs of rays shared (up to global phase) between two contexts, row-major."""
+    x, y = c1.matrix, c2.matrix
+    if x is not None and y is not None and x.shape[1] == y.shape[1]:
+        p, q, _ = _shared_rows(x, y, tol)
+        pairs = zip(p.tolist(), q.tolist())
+    else:
+        pairs = _shared_pairs([r.vector for r in c1.rays], [r.vector for r in c2.rays], tol)
     return [(c1.rays[i], c2.rays[j]) for i, j in pairs]
 
 
@@ -163,58 +203,74 @@ def validate_context_graph(graph: ContextGraph) -> ValidationReport:
     duplicate labels inside a context, one label naming two different rays,
     two labels naming the same ray, and (dimension d >= 2) two distinct
     contexts sharing more than d - 2 rays, which no two distinct orthonormal
-    bases can.
+    bases can.  The graph keeps the report, and a second call returns it.
     """
+    if graph._report is None:
+        object.__setattr__(graph, "_report", _validate(graph))
+    return graph._report
+
+
+def _validate(graph: ContextGraph) -> ValidationReport:
     violations: list[str] = []
     contexts = graph.contexts
     dim = contexts[0].dim
-    flat: list[tuple[int, int, Ray]] = []  # (context, position, ray) of contexts with one ray size
+
+    # One Gram pass per ray size over the stacked matrices of the contexts
+    # with one ray size.  The pass over size ``dim`` holds every context
+    # that is checked further, so its Gram matrix and pairs serve below.
+    by_size: dict[int, list[int]] = {}
+    for k, ctx in enumerate(contexts):
+        if ctx.matrix is not None:
+            by_size.setdefault(ctx.matrix.shape[1], []).append(k)
+    links = []
+    flat, same, bad = [], set(), {}  # from the pass over size ``dim``
+    for n, ks in by_size.items():
+        # (context, position, ray) per row of the stack
+        rows = [(k, i, r) for k in ks for i, r in enumerate(contexts[k].rays)]
+        p, q, gram = _shared_rows(np.concatenate([contexts[k].matrix for k in ks]), None, LINK_TOL)
+        ids = list(range(len(rows)))  # one int object per row, shared by all its pairs
+        pairs = [(ids[a], ids[b]) for a, b in zip(p.tolist(), q.tolist())]
+        links += [(rows[a][0], rows[b][0], rows[a][1], rows[b][1])
+                  for a, b in pairs if rows[a][0] != rows[b][0]]
+        if n == dim:
+            flat, same = rows, set(pairs)
+            own = np.array([k for k, _, _ in rows])
+            inner = np.triu((gram > _ORTHO_TOL) & (own[:, None] == own[None, :]), 1)
+            for a, b in zip(*np.nonzero(inner)):
+                bad.setdefault(rows[a][0], []).append((rows[a][2], rows[b][2], gram[a, b]))
+    links = tuple(sorted(links))
 
     for k, ctx in enumerate(contexts):
-        mixed = len({r.vector.size for r in ctx.rays}) > 1
-        if not mixed:
-            flat += [(k, i, r) for i, r in enumerate(ctx.rays)]
         if ctx.dim != dim:
             violations.append(
                 f"context {ctx.name!r} lives in dimension {ctx.dim}, expected {dim}"
             )
             continue
-        if mixed:
+        if ctx.matrix is None:
             violations.append(f"context {ctx.name!r} mixes ray dimensions")
             continue
         if len(ctx.rays) != dim:
             violations.append(
                 f"context {ctx.name!r} has {len(ctx.rays)} rays, expected {dim}"
             )
-        for i in range(len(ctx.rays)):
-            for j in range(i + 1, len(ctx.rays)):
-                ri, rj = ctx.rays[i], ctx.rays[j]
-                ip = abs(np.vdot(ri.vector, rj.vector))
-                if ip > _ORTHO_TOL:
-                    violations.append(
-                        f"context {ctx.name!r}: rays {ri.label!r} and {rj.label!r} are not "
-                        f"orthogonal (|<.,.>| = {ip:.3e})"
-                    )
+        for ri, rj, ip in bad.get(k, ()):
+            violations.append(
+                f"context {ctx.name!r}: rays {ri.label!r} and {rj.label!r} are not "
+                f"orthogonal (|<.,.>| = {ip:.3e})"
+            )
         seen = set()
         for r in ctx.rays:
             if r.label in seen:
                 violations.append(f"context {ctx.name!r} repeats label {r.label!r}")
             seen.add(r.label)
 
-    # Every pair of rays equal up to phase, from one Gram matrix over the graph.
-    same = set(_shared_pairs([r.vector for _, _, r in flat], None, LINK_TOL))
-    links = tuple(sorted((flat[a][0], flat[b][0], flat[a][1], flat[b][1])
-                         for a, b in same if flat[a][0] != flat[b][0]))
-
     # Label consistency across the contexts of dimension ``dim``: a label
     # names one ray, and one ray carries one label.  Only pairs that share a
     # label or a ray can break it.
-    inside = [contexts[k].dim == dim for k, _, _ in flat]
     by_label: dict[str, list[int]] = {}
     for a, (_, _, r) in enumerate(flat):
-        if inside[a]:
-            by_label.setdefault(r.label, []).append(a)
-    checked = {(a, b) for a, b in same if inside[a] and inside[b]}
+        by_label.setdefault(r.label, []).append(a)
+    checked = set(same)
     checked.update(pair for ix in by_label.values() for pair in combinations(ix, 2))
     for a, b in sorted(checked):
         (ka, _, ra), (kb, _, rb) = flat[a], flat[b]
@@ -248,10 +304,12 @@ def greechie_dot(graph: ContextGraph) -> str:
 
     Nodes are ray labels (declared in label-sorted order); each context is
     one chain of edges through its rays in stored order, tagged with a
-    ``context`` attribute.  Raises ValueError for graphs that fail
-    validation -- a diagram of an inconsistent graph would be misleading.
+    ``context`` attribute.  Strings are quoted with ``\\`` and ``"``
+    escaped.  Raises ValueError for graphs that fail validation -- a
+    diagram of an inconsistent graph would be misleading.  A graph
+    validated before is not validated again.
     """
-    report = validate_context_graph(graph)
+    report = graph._report or validate_context_graph(graph)
     if not report.ok:
         raise ValueError(
             "cannot draw an invalid context graph: " + "; ".join(report.violations)
@@ -259,16 +317,22 @@ def greechie_dot(graph: ContextGraph) -> str:
     return _dot_text(graph)
 
 
+def _quoted(s: str) -> str:
+    """A DOT string literal: ``\\`` escaped first, then ``"``."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _dot_text(graph: ContextGraph) -> str:
     """DOT text of a graph already known to be valid."""
     labels = sorted({r.label for ctx in graph.contexts for r in ctx.rays})
     lines = ["graph contexts {"]
     for lab in labels:
-        lines.append(f'  "{lab}";')
+        lines.append(f"  {_quoted(lab)};")
     for ctx in graph.contexts:
+        name = _quoted(ctx.name)
         for i in range(len(ctx.rays) - 1):
             a, b = ctx.rays[i].label, ctx.rays[i + 1].label
-            lines.append(f'  "{a}" -- "{b}" [context="{ctx.name}"];')
+            lines.append(f"  {_quoted(a)} -- {_quoted(b)} [context={name}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -10,6 +11,7 @@ from multiport import (
     STATE_NAMES,
     analyzer_unitary,
     bell_state,
+    builtin_graph,
     identity_spec,
     load_matrix,
     load_netlist,
@@ -284,6 +286,52 @@ def test_contexts_builtin_graph(tmp_path, capsys):
     assert f"wrote {dot}" in out
 
 
+DOT_STRING = r'"((?:[^"\\]|\\.)*)"'  # a quoted DOT string: no bare " or \ inside
+
+
+def _unquoted(s):
+    return re.sub(r"\\(.)", r"\1", s)
+
+
+def test_contexts_dot_quotes_labels_and_names(tmp_path, capsys):
+    labels = ('a"b', "c\\d", "e\\", 'q"')  # e\ would close its string as "e\"
+    g = builtin_graph("two-tripods")
+    (b, c, a), (d, k, _) = g.contexts[0].rays, g.contexts[1].rays
+    names = ('E" -- "x', "F\\")
+    c1 = Context(names[0], (Ray(labels[0], b.vector), Ray(labels[1], c.vector), Ray("A", a.vector)))
+    c2 = Context(names[1], (Ray(labels[2], d.vector), Ray(labels[3], k.vector), Ray("A", a.vector)))
+    path = tmp_path / "graph.json"
+    save_context_graph(path, ContextGraph(contexts=(c1, c2)))
+    code, out, _ = run(capsys, "contexts", "--graph", f"@{path}")
+    assert code == 0
+    lines = out.splitlines()
+    body = lines[lines.index("graph contexts {") + 1 : lines.index("}")]
+    nodes, edges = [], []
+    for line in body:
+        node = re.fullmatch(rf"  {DOT_STRING};", line)
+        edge = re.fullmatch(rf"  {DOT_STRING} -- {DOT_STRING} \[context={DOT_STRING}\];", line)
+        assert node or edge, line
+        if node:
+            nodes.append(_unquoted(node[1]))
+        else:
+            edges.append(tuple(_unquoted(x) for x in edge.groups()))
+    assert nodes == sorted(labels + ("A",))
+    assert edges == [
+        (labels[0], labels[1], names[0]), (labels[1], "A", names[0]),
+        (labels[2], labels[3], names[1]), (labels[3], "A", names[1]),
+    ]
+
+
+def test_contexts_dot_of_plain_labels_is_unchanged(capsys):
+    code, out, _ = run(capsys, "contexts", "--graph", "two-tripods")
+    assert code == 0
+    assert out.endswith(
+        'graph contexts {\n  "A";\n  "B";\n  "C";\n  "D";\n  "K";\n'
+        '  "B" -- "C" [context="E"];\n  "C" -- "A" [context="E"];\n'
+        '  "D" -- "K" [context="F"];\n  "K" -- "A" [context="F"];\n}\n'
+    )
+
+
 def test_contexts_invalid_graph_exits_4(tmp_path, capsys):
     e3 = np.eye(3)
     c1 = Context(name="1", rays=tuple(
@@ -327,11 +375,11 @@ def test_contexts_verb_validates_once_in_one_gram_pass(monkeypatch, capsys):
     validate = counted("validate_context_graph")
     monkeypatch.setattr(multiport.contexts, "validate_context_graph", validate)
     monkeypatch.setattr(multiport.cli, "validate_context_graph", validate)
-    monkeypatch.setattr(multiport.contexts, "_shared_pairs", counted("_shared_pairs"))
+    monkeypatch.setattr(multiport.contexts, "_shared_rows", counted("_shared_rows"))
     code, out, _ = run(capsys, "contexts", "--graph", "three-chain")
     assert code == 0
     assert "link E G via x1" in out
-    assert calls == {"validate_context_graph": 1, "_shared_pairs": 1}
+    assert calls == {"validate_context_graph": 1, "_shared_rows": 1}
 
 
 def test_contexts_file_over_ray_cap_exits_4(tmp_path, capsys):

@@ -483,3 +483,131 @@ def test_validation_makes_linear_number_of_exact_comparisons(monkeypatch):
     rows.clear()
     assert validate_context_graph(ContextGraph(contexts=g.contexts[:1])).ok
     assert rows == []
+
+
+# --- stacked contexts: links against the brute-force loop ------------------
+
+KICKS = (None, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0)  # multiples of LINK_TOL, None for none
+
+
+@st.composite
+def linked_graphs(draw):
+    """Contexts of dimension 1..4 drawn from a small pool of rays, each ray
+    repeated with a random phase and optionally kicked by a multiple of
+    LINK_TOL; some contexts mix in a ray of another size."""
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def unit(n):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return z / np.linalg.norm(z)
+
+    pool = [unit(d) for _ in range(draw(st.integers(1, 4)))]
+    contexts = []
+    for k in range(draw(st.integers(1, 4))):
+        rays = []
+        for i in range(draw(st.integers(1, d + 1))):
+            v = pool[draw(st.integers(0, len(pool) - 1))] * np.exp(2j * np.pi * rng.random())
+            kick = draw(st.sampled_from(KICKS))
+            if kick is not None and d > 1:
+                # An entrywise kick of kick * LINK_TOL orthogonal to v, so the norm stays 1.
+                w = unit(d)
+                w -= v * np.vdot(v, w)
+                v = v + kick * LINK_TOL * w / np.max(np.abs(w))
+            rays.append(Ray(f"r{k}.{i}", v))
+        if draw(st.booleans()) and draw(st.booleans()):
+            rays.insert(draw(st.integers(0, len(rays))), Ray(f"m{k}", unit(d + 1)))
+        contexts.append(Context(name=f"C{k}", rays=tuple(rays)))
+    return ContextGraph(contexts=tuple(contexts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(linked_graphs())
+def test_stacked_links_match_the_pairwise_loop(g):
+    ctxs = g.contexts
+    for c in ctxs:
+        assert (c.matrix is None) == (len({r.vector.size for r in c.rays}) > 1)
+    for c1 in ctxs:
+        for c2 in ctxs:
+            assert links_between(c1, c2) == reference_links(c1, c2)
+    # The report lists the links of the contexts with one ray size only.
+    assert validate_context_graph(g).links == tuple(
+        link for link in reference_link_indices(g)
+        if ctxs[link[0]].matrix is not None and ctxs[link[1]].matrix is not None
+    )
+
+
+def test_kicks_just_inside_and_outside_link_tol():
+    v = np.array([0.6, 0.8j, 0.0])
+    w = np.array([0.0, 0.0, 1.0])
+    base = tripod("A", [v], ["v"])
+    for kick, linked in ((0.99, True), (1.01, False)):
+        other = tripod("B", [np.exp(0.3j) * (v + kick * LINK_TOL * w)], ["v"])
+        assert bool(links_between(base, other)) is linked
+        assert bool(validate_context_graph(ContextGraph(contexts=(base, other))).links) is linked
+
+
+def test_context_mixing_ray_sizes_takes_the_general_path(monkeypatch):
+    calls = Counter()
+    general = multiport.contexts._shared_pairs
+
+    def counted(*args):
+        calls["general"] += 1
+        return general(*args)
+
+    monkeypatch.setattr(multiport.contexts, "_shared_pairs", counted)
+    mixed = Context(name="M", rays=(Ray("x", E3[0]), Ray("q", [1.0, 0.0]), Ray("z", 1j * E3[2])))
+    plain = tripod("P", E3, ["x", "y", "z"])
+    assert mixed.matrix is None
+    assert [(a.label, b.label) for a, b in links_between(mixed, plain)] == [("x", "x"), ("z", "z")]
+    assert calls["general"] == 1
+    assert links_between(plain, plain)[0][0] is plain.rays[0]
+    assert calls["general"] == 1
+
+
+# --- read-only rays and contexts, and the stored report -------------------
+
+def test_ray_vector_is_a_read_only_copy():
+    v = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
+    r = Ray("a", v)
+    v[0] = 5.0
+    assert r.vector.tolist() == [1.0, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        r.vector[0] = 0.0
+
+
+def test_context_matrix_is_read_only_and_stacks_the_rays():
+    c = tripod("E", E3, ["a", "b", "c"])
+    assert c.matrix.shape == (3, 3)
+    assert np.array_equal(c.matrix, np.stack([r.vector for r in c.rays]))
+    with pytest.raises(ValueError):
+        c.matrix[0, 0] = 0.0
+
+
+def test_graph_keeps_its_report(monkeypatch):
+    calls = Counter()
+    gram = multiport.contexts._shared_rows
+
+    def counted(*args):
+        calls["gram"] += 1
+        return gram(*args)
+
+    monkeypatch.setattr(multiport.contexts, "_shared_rows", counted)
+    g = builtin_graph("three-chain")
+    report = validate_context_graph(g)
+    assert calls["gram"] == 1
+    greechie_dot(g)
+    assert validate_context_graph(g) is report
+    assert calls["gram"] == 1
+    again = ContextGraph(contexts=g.contexts)
+    assert validate_context_graph(again) == report
+    assert calls["gram"] == 2
+
+
+def test_greechie_dot_of_an_invalid_graph_reuses_the_report(monkeypatch):
+    g = ContextGraph(contexts=(tripod("1", E3, ["A", "B", "C"]), tripod("2", E3, ["A", "B", "C"])))
+    assert not validate_context_graph(g).ok
+    # A Gram pass would now raise TypeError.
+    monkeypatch.setattr(multiport.contexts, "_shared_rows", None)
+    with pytest.raises(ValueError, match="share 3 rays"):
+        greechie_dot(g)
