@@ -23,7 +23,6 @@ from .decompose import (
     load_factorization,
     reconstruct,
     save_factorization,
-    solve_t_params,
 )
 from .devices import (
     GATE_NAMES,
@@ -31,7 +30,6 @@ from .devices import (
     MzParams,
     TParams,
     bridge_params,
-    fit_bs,
     named_gate,
     omega_from_transmission,
     t_bs,
@@ -46,7 +44,6 @@ from .interferometer import (
     Element,
     Netlist,
     beam_splitter,
-    element_matrix,
     load_netlist,
     netlist_from_factorization,
     phase_layer,

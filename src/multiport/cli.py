@@ -5,9 +5,9 @@ in all user-facing input and output; angles are decimal radians.  Numeric
 text output uses 12 significant digits.  Setting the environment variable
 REPORT_JSON=1 switches stdout to single JSON records (full float precision).
 
-Exit codes: 0 success, 2 usage error, 3 missing or unreadable input file or
-text that is not JSON, 4 numeric/validation failure or a file of the wrong
-structure.
+Exit codes: 0 success, 2 usage error, 3 missing or unreadable input file,
+bytes that are not UTF-8 or text that is not JSON, 4 numeric/validation
+failure or a file of the wrong structure.
 """
 
 from __future__ import annotations
@@ -302,7 +302,7 @@ def main(argv=None) -> int:
         return int(code)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -156,29 +156,26 @@ def _shared_rows(x: np.ndarray, y: np.ndarray | None, tol: float):
     return p, q, gram
 
 
-def _shared_pairs(xs, ys, tol: float) -> list[tuple[int, int]]:
-    """Index pairs ``(i, j)``, row-major, with ``xs[i]`` equal to ``ys[j]`` up to phase.
-
-    The path for vectors of mixed sizes: vectors of different sizes never
-    match, and ``_shared_rows`` compares the vectors of each size.
-    """
-    pairs = []
-    for n in {x.size for x in xs} & {y.size for y in ys}:
-        ix = [i for i, x in enumerate(xs) if x.size == n]
-        iy = [j for j, y in enumerate(ys) if y.size == n]
-        p, q, _ = _shared_rows(np.array([xs[i] for i in ix]), np.array([ys[j] for j in iy]), tol)
-        pairs += [(ix[a], iy[b]) for a, b in zip(p.tolist(), q.tolist())]
-    return sorted(pairs)
-
-
 def links_between(c1: Context, c2: Context, tol: float = LINK_TOL) -> list[tuple[Ray, Ray]]:
-    """Pairs of rays shared (up to global phase) between two contexts, row-major."""
+    """Pairs of rays shared (up to global phase) between two contexts, row-major.
+
+    Rays of different sizes never match, so contexts that mix ray sizes are
+    compared one size at a time.
+    """
     x, y = c1.matrix, c2.matrix
     if x is not None and y is not None and x.shape[1] == y.shape[1]:
         p, q, _ = _shared_rows(x, y, tol)
         pairs = zip(p.tolist(), q.tolist())
     else:
-        pairs = _shared_pairs([r.vector for r in c1.rays], [r.vector for r in c2.rays], tol)
+        pairs = []
+        for n in {r.vector.size for r in c1.rays} & {r.vector.size for r in c2.rays}:
+            ix = [i for i, r in enumerate(c1.rays) if r.vector.size == n]
+            iy = [j for j, r in enumerate(c2.rays) if r.vector.size == n]
+            p, q, _ = _shared_rows(
+                np.array([c1.rays[i].vector for i in ix]), np.array([c2.rays[j].vector for j in iy]), tol
+            )
+            pairs += [(ix[a], iy[b]) for a, b in zip(p.tolist(), q.tolist())]
+        pairs.sort()
     return [(c1.rays[i], c2.rays[j]) for i, j in pairs]
 
 

@@ -34,7 +34,6 @@ from .numerics import as_matrix, read_json, unitarity_deviation, write_json
 __all__ = [
     "TFactor",
     "Factorization",
-    "solve_t_params",
     "solve_t_layer",
     "decompose",
     "reconstruct",
@@ -154,12 +153,6 @@ def solve_t_layer(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     phi[phi <= -math.pi] += 2.0 * math.pi
     phi[abs_b <= SKIP_TOL] = 0.0
     return abs_a > SKIP_TOL, omega, phi
-
-
-def solve_t_params(a: complex, b: complex) -> TParams | None:
-    """``solve_t_layer`` for one pair: the cell's TParams, or None (skip)."""
-    keep, omega, phi = solve_t_layer(np.array([a], dtype=complex), np.array([b], dtype=complex))
-    return TParams(omega=float(omega[0]), phi=float(phi[0])) if keep[0] else None
 
 
 def decompose(u) -> Factorization:

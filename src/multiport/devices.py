@@ -1,6 +1,5 @@
 """Two-port cell algebra: the elimination cell, the decorated beam splitter,
-and the Mach-Zehnder realization, plus parameter fitting between them; and
-the kernel that applies cells.
+and the Mach-Zehnder realization; and the kernel that applies cells.
 
 The kernel applies a layer of w cells on distinct rows as one batched
 ``(w, 2, 2) @ (w, 2, cols)`` product.  A layer of cells (p, p+1) with p
@@ -32,15 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, unitarity_deviation
-
 __all__ = [
     "wrap_angle",
     "TParams",
     "BsParams",
     "MzParams",
     "t_matrix",
-    "apply_two_port",
     "schedule",
     "layer_steps",
     "apply_layers",
@@ -50,7 +46,6 @@ __all__ = [
     "t_mz_product",
     "bridge_params",
     "named_gate",
-    "fit_bs",
     "transmission",
     "omega_from_transmission",
     "GATE_NAMES",
@@ -73,23 +68,9 @@ def wrap_angle(x: float) -> float:
     return w
 
 
-def _checked_mixing(omega: float, hi: float) -> float:
-    o = float(omega)
-    if not math.isfinite(o):
-        raise ValueError("mixing angle must be finite")
-    if o < -_RANGE_SLOP or o > hi + _RANGE_SLOP:
-        raise ValueError(f"mixing angle {o!r} outside [0, {hi!r}]")
-    return min(max(o, 0.0), hi)
-
-
-def _checked_phase(x: float) -> float:
-    f = float(x)
-    if not math.isfinite(f):
-        raise ValueError("phase must be finite")
-    return wrap_angle(f)
-
-
-# The same three rules elementwise, for the cell arrays of a whole mesh.
+# The angle rules, elementwise over the cell arrays of a whole mesh.  A
+# single parameter is checked as a one-element array, so it obeys the same
+# rules bit for bit.
 
 
 def _wrap(x: np.ndarray) -> np.ndarray:
@@ -110,6 +91,14 @@ def _checked_phases(x: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("phase must be finite")
     return _wrap(x)
+
+
+def _checked_mixing(omega: float, hi: float) -> float:
+    return _checked_mixings(np.array([float(omega)]), hi)[0].item()
+
+
+def _checked_phase(x: float) -> float:
+    return _checked_phases(np.array([float(x)]))[0].item()
 
 
 @dataclass(frozen=True)
@@ -198,19 +187,6 @@ def _apply_pairs(rows: np.ndarray, where, coef: np.ndarray) -> None:
         pairs[...] = coef @ pairs
     else:
         rows[where] = coef @ rows[where]
-
-
-def apply_two_port(m: np.ndarray, p: int, q: int, block) -> None:
-    """Multiply rows ``p`` and ``q`` of ``m`` in place by a 2x2 block.
-
-    The effect is ``m[[p, q]] = block @ m[[p, q]]``; ``m`` is a matrix or a
-    vector, and ``m.T`` acts on columns.  ``block`` is a 2x2 array or nested
-    pairs of numbers.  This is the one-cell case of the layer kernel that
-    ``decompose`` and ``apply_layers`` use.
-    """
-    rows = m if m.ndim == 2 else m[:, None]
-    where = slice(p, p + 2) if q == p + 1 else np.array([[p, q]])
-    _apply_pairs(rows, where, np.asarray(block, dtype=np.complex128).reshape(1, 2, 2))
 
 
 # --- layers ---------------------------------------------------------------
@@ -455,43 +431,6 @@ def named_gate(name: str) -> np.ndarray:
         return _GATES[name].copy()
     except KeyError:
         raise ValueError(f"unknown gate {name!r}; known gates: {', '.join(GATE_NAMES)}") from None
-
-
-_FIT_DEGENERATE = 1e-12
-
-
-def fit_bs(u) -> BsParams:
-    """Recover beam-splitter parameters from a 2x2 unitary.
-
-    Inverts the closed form of :func:`t_bs`.  At the degenerate mixing
-    angles (omega = 0 or pi/2) one phase is unconstrained and is set to
-    zero: omega = 0 fixes phi = 0, omega = pi/2 fixes alpha = 0.
-    """
-    m = as_matrix(u)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got {m.shape}")
-    if unitarity_deviation(m) > 1e-8:
-        raise ValueError("matrix is not unitary enough to fit (deviation > 1e-8)")
-
-    mag_s = abs(m[0, 0])  # sin(omega) up to phase
-    mag_c = abs(m[0, 1])  # cos(omega) up to phase
-    omega = math.atan2(mag_s, mag_c)
-
-    if mag_s <= _FIT_DEGENERATE:
-        # omega = 0: anti-diagonal matrix, phi unconstrained
-        phi = 0.0
-        beta = cmath.phase(m[0, 1])
-        alpha = cmath.phase(m[1, 0]) - beta
-    elif mag_c <= _FIT_DEGENERATE:
-        # omega = pi/2: diagonal matrix, alpha unconstrained
-        alpha = 0.0
-        beta = cmath.phase(m[1, 1]) - math.pi / 2
-        phi = cmath.phase(m[0, 0]) - math.pi / 2 - beta
-    else:
-        beta = cmath.phase(m[1, 1]) - math.pi / 2
-        phi = cmath.phase(m[0, 1]) - beta
-        alpha = cmath.phase(m[1, 0]) - beta
-    return BsParams(omega=omega, alpha=alpha, beta=beta, phi=phi)
 
 
 def transmission(omega: float) -> float:

@@ -65,7 +65,6 @@ __all__ = [
     "beam_splitter",
     "phase_shifter",
     "phase_layer",
-    "element_matrix",
     "netlist_from_factorization",
     "transfer_matrix",
     "simulate",
@@ -227,11 +226,6 @@ def _angle_row(e: Element) -> tuple:
     if e.kind == "bs":
         return (e.omega, e.alpha, e.beta, e.phi)
     return (e.phase if e.kind == "ps" else 0.0, 0.0, 0.0, 0.0)
-
-
-def element_matrix(e: Element, dim: int) -> np.ndarray:
-    """The dim x dim unitary realized by one element."""
-    return transfer_matrix(Netlist(dim=dim, elements=(e,)))
 
 
 def netlist_from_factorization(f: Factorization) -> Netlist:

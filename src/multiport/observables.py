@@ -211,7 +211,6 @@ def predict_ports(analyzer: AnalyzerUnitary, psi) -> PortDistribution:
         raise ValueError("state must be normalized")
     amps = analyzer.matrix @ v
     probs = np.abs(amps) ** 2
-    probs[probs < 0.0] = 0.0  # defensive; |.|^2 cannot go negative
     total = float(np.sum(probs))
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"probabilities sum to {total!r}, expected 1 within 1e-10")

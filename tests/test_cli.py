@@ -409,6 +409,22 @@ def test_deeply_nested_file_exits_4(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+UNREADABLE_ARGV = {
+    **DEEP_NESTING_ARGV,
+    "predict": ("predict", "--state", "@{f}", "--obs", "id"),
+}
+
+
+@pytest.mark.parametrize("argv", UNREADABLE_ARGV.values(), ids=UNREADABLE_ARGV.keys())
+def test_non_utf8_file_exits_3(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00x")
+    code, _, err = run(capsys, *(a.format(f=bad, out=tmp_path / "net.json") for a in argv))
+    assert code == 3
+    assert err.startswith("error: ") and "utf-8" in err
+    assert not (tmp_path / "net.json").exists()
+
+
 def test_prepare_state_file_over_entry_cap_exits_4(tmp_path, capsys):
     path = tmp_path / "state.json"
     psi = np.zeros((1025, 1))

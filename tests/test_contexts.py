@@ -549,20 +549,20 @@ def test_kicks_just_inside_and_outside_link_tol():
 
 def test_context_mixing_ray_sizes_takes_the_general_path(monkeypatch):
     calls = Counter()
-    general = multiport.contexts._shared_pairs
+    gram = multiport.contexts._shared_rows
 
-    def counted(*args):
-        calls["general"] += 1
-        return general(*args)
+    def counted(x, y, tol):
+        calls[x.shape[1]] += 1
+        return gram(x, y, tol)
 
-    monkeypatch.setattr(multiport.contexts, "_shared_pairs", counted)
+    monkeypatch.setattr(multiport.contexts, "_shared_rows", counted)
     mixed = Context(name="M", rays=(Ray("x", E3[0]), Ray("q", [1.0, 0.0]), Ray("z", 1j * E3[2])))
     plain = tripod("P", E3, ["x", "y", "z"])
     assert mixed.matrix is None
     assert [(a.label, b.label) for a, b in links_between(mixed, plain)] == [("x", "x"), ("z", "z")]
-    assert calls["general"] == 1
+    assert calls == {3: 1}  # one Gram pass, over the one size both contexts hold
     assert links_between(plain, plain)[0][0] is plain.rays[0]
-    assert calls["general"] == 1
+    assert calls == {3: 2}  # the plain pair's fast path: its one stacked pass
 
 
 # --- read-only rays and contexts, and the stored report -------------------

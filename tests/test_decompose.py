@@ -16,53 +16,60 @@ from multiport import (
     reconstruct,
     save_factorization,
     simulate,
-    solve_t_params,
     t_matrix,
     transfer_matrix,
     unitarity_deviation,
 )
-from multiport.decompose import factorization_from_payload
+from multiport.decompose import factorization_from_payload, solve_t_layer
 
 import refdata
 
 
-def residual(a, b, params):
+def residual(a, b, omega, phi):
     """The elimination equation the solver is meant to null."""
-    w, f = params.omega, params.phi
-    return abs(np.sin(w) * a + np.exp(-1j * f) * np.cos(w) * b)
+    return np.abs(np.sin(omega) * a + np.exp(-1j * phi) * np.cos(omega) * b)
+
+
+# The explicit pairs, solved in one batched call: equal amplitudes, a null
+# second entry, an imaginary first entry, and two first entries to skip.
+PAIRS_A = np.array([1.0, 1.0, 1j, 0.0, 5e-15])
+PAIRS_B = np.array([1.0, 0.0, 1.0, 1.0, 1.0], dtype=complex)
+KEEP, OMEGA, PHI = solve_t_layer(PAIRS_A, PAIRS_B)
 
 
 def test_solver_equal_amplitudes():
-    p = solve_t_params(1.0, 1.0)
-    assert p.omega == pytest.approx(np.pi / 4)
-    assert abs(p.phi) == pytest.approx(np.pi)
-    assert residual(1.0, 1.0, p) <= 1e-15
+    assert KEEP[0]
+    assert OMEGA[0] == pytest.approx(np.pi / 4)
+    assert abs(PHI[0]) == pytest.approx(np.pi)
+    assert residual(1.0, 1.0, OMEGA[0], PHI[0]) <= 1e-15
 
 
 def test_solver_null_second_entry():
-    p = solve_t_params(1.0, 0.0)
-    assert (p.omega, p.phi) == (0.0, 0.0)
+    assert KEEP[1]
+    assert (OMEGA[1], PHI[1]) == (0.0, 0.0)
 
 
 def test_solver_imaginary_first_entry():
-    p = solve_t_params(1j, 1.0)
-    assert p.omega == pytest.approx(np.pi / 4)
-    assert p.phi == pytest.approx(np.pi / 2)
-    assert residual(1j, 1.0, p) <= 1e-15
+    assert KEEP[2]
+    assert OMEGA[2] == pytest.approx(np.pi / 4)
+    assert PHI[2] == pytest.approx(np.pi / 2)
+    assert residual(1j, 1.0, OMEGA[2], PHI[2]) <= 1e-15
 
 
 def test_solver_skips_already_null_entries():
-    assert solve_t_params(0.0, 1.0) is None
-    assert solve_t_params(5e-15, 1.0) is None
+    assert KEEP.tolist() == [True, True, True, False, False]
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_solver_nulls_random_pairs(seed):
     rng = np.random.default_rng(seed)
-    a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    p = solve_t_params(a, b)
-    assert residual(a, b, p) <= 1e-12 * max(1.0, abs(a), abs(b))
+    a, b = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
+    keep, omega, phi = solve_t_layer(a, b)
+    assert keep.all()
+    assert (residual(a, b, omega, phi) <= 1e-12 * np.maximum(1.0, np.maximum(abs(a), abs(b)))).all()
+    # Each cell lies in the canonical ranges TParams holds it to.
+    assert ((0.0 <= omega) & (omega <= np.pi / 2) & (-np.pi < phi) & (phi <= np.pi)).all()
 
 
 def test_identity_needs_no_factors():

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,6 @@ from multiport import (
     MzParams,
     TParams,
     bridge_params,
-    fit_bs,
     named_gate,
     omega_from_transmission,
     t_bs,
@@ -20,7 +21,9 @@ from multiport import (
     unitarity_deviation,
     wrap_angle,
 )
-from multiport.devices import TWO, apply_layers, apply_two_port, layer_steps
+from multiport.decompose import Factorization
+from multiport.devices import TWO, _apply_pairs, _stack, apply_layers, layer_steps
+from multiport.interferometer import Netlist
 
 import refdata
 
@@ -56,6 +59,56 @@ def test_tparams_rejects_out_of_range_mixing():
         TParams(-0.2, 0.0)
     with pytest.raises(ValueError):
         TParams(2.0, 0.0)
+
+
+# Both sides of every angle rule: the 1e-12 slop past 0 and pi/2, values out
+# of range, and values that are not finite.
+EDGE_ANGLES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-3e-12, 3e-12),
+    st.floats(np.pi / 2 - 3e-12, np.pi / 2 + 3e-12),
+    st.sampled_from([-0.0, -1e-12, -1.0000001e-12, np.pi / 2 + 1e-12, np.pi / 2 + 1.0000001e-12,
+                     -np.pi, np.pi, 7.0, np.nan, np.inf, -np.inf]),
+)
+
+
+def _accepted_or_message(build):
+    """The values ``build`` stores, as bytes so that -0.0 and +0.0 differ, or its ValueError text."""
+    try:
+        return np.array(build(), dtype=float).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EDGE_ANGLES, EDGE_ANGLES)
+def test_scalar_angle_rules_agree_with_the_cell_arrays(omega, phase):
+    """TParams and BsParams accept, reject and clamp exactly as a one-cell mesh does."""
+
+    def cell():
+        f = Factorization._from_columns(2, np.array([0]), np.array([1]), np.array([omega]), np.array([phase]), [0, 0])
+        return f.omega[0], f.phi[0]
+
+    def netlist_omega():
+        return Netlist._from_columns(2, [0], [0], [1], [(omega, 0.0, 0.0, 0.0)], []).angles[0, 0]
+
+    want = _accepted_or_message(cell)
+    assert _accepted_or_message(lambda: astuple(TParams(omega, phase))) == want
+    assert _accepted_or_message(lambda: astuple(BsParams(omega, phase, phase, phase))[:2]) == want
+    assert _accepted_or_message(lambda: BsParams(omega, 0.0, 0.0, 0.0).omega) == _accepted_or_message(netlist_omega)
+
+
+def test_negative_zero_mixing_angle_is_stored_as_positive_zero():
+    for omega in (TParams(-0.0, 0.0).omega, BsParams(-0.0, 0.0, 0.0, 0.0).omega):
+        assert np.signbit(omega) == np.False_
+    assert np.signbit(TParams(0.5, -0.0).phi)  # a phase keeps its sign
+
+
+def test_angle_checks_convert_with_float_first():
+    with pytest.raises(TypeError):
+        TParams(None, 0.0)
+    with pytest.raises(TypeError):
+        BsParams(0.5, None, 0.0, 0.0)
 
 
 def test_mzparams_flips_negative_mixing_angle():
@@ -157,9 +210,13 @@ def test_apply_two_port_matches_block_product(make, cells, as_tuple):
     for (p, q), block in zip(cells, blocks):
         want[[p, q]] = block @ want[[p, q]]
 
+    # One cell at a time: a one-pair slice of rows (p, p+1), or a one-row gather.
     m = make(np.random.default_rng(11))
+    rows = m if m.ndim == 2 else m[:, None]
     for (p, q), block in zip(cells, blocks):
-        apply_two_port(m, p, q, tuple(map(tuple, block)) if as_tuple else block)
+        where = slice(p, p + 2) if q == p + 1 else np.array([[p, q]])
+        coef = _stack(tuple(tuple(x[None] for x in row) for row in block)) if as_tuple else block[None]
+        _apply_pairs(rows, where, coef)
     assert np.max(np.abs(m - want)) <= 1e-15
 
     # The same cells as one layer: one batched product, written through the view.
@@ -216,42 +273,6 @@ def test_legacy_sqrt_not_setting_squares_to_minus_not():
     m = t_bs(BsParams(omega=np.pi / 4, alpha=-np.pi, beta=3 * np.pi / 4,
                       phi=-np.pi))
     assert np.max(np.abs(m @ m + NOT)) <= 1e-14
-
-
-# --- fitting ---------------------------------------------------------------
-
-def test_fit_bs_identity_branch():
-    p = fit_bs(np.eye(2))
-    assert (p.omega, p.alpha, p.phi) == (np.pi / 2, 0.0, 0.0)
-    assert p.beta == pytest.approx(-np.pi / 2)
-    assert np.max(np.abs(t_bs(p) - np.eye(2))) <= 1e-14
-
-
-def test_fit_bs_swap_branch():
-    p = fit_bs(NOT)
-    assert p.omega == 0.0
-    assert np.max(np.abs(t_bs(p) - NOT)) <= 1e-14
-
-
-@pytest.mark.parametrize("name", GATE_NAMES)
-def test_fit_bs_recovers_named_gates(name):
-    g = named_gate(name)
-    assert np.max(np.abs(t_bs(fit_bs(g)) - g)) <= 1e-13
-
-
-def test_fit_bs_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        fit_bs(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(0.05, np.pi / 2 - 0.05), angles, angles, angles)
-def test_fit_bs_inverts_t_bs_away_from_degenerate_branches(w, a, b, f):
-    p = BsParams(w, a, b, f)
-    q = fit_bs(t_bs(p))
-    for name in ("omega", "alpha", "beta", "phi"):
-        delta = wrap_angle(getattr(q, name) - getattr(p, name))
-        assert abs(delta) <= 1e-9, (name, p, q)
 
 
 def test_transmission_round_trip():

@@ -15,7 +15,6 @@ from multiport import (
     beam_splitter,
     bell_state,
     decompose,
-    element_matrix,
     equal_up_to_global_phase,
     load_netlist,
     netlist_from_factorization,
@@ -49,26 +48,26 @@ def test_element_validation():
 
 
 def test_phase_shifter_matrix():
-    m = element_matrix(phase_shifter(0, np.pi), 2)
+    m = transfer_matrix(Netlist(2, (phase_shifter(0, np.pi),)))
     np.testing.assert_allclose(m, np.diag([-1.0, 1.0]), atol=1e-15)
 
 
 def test_balanced_splitter_block():
-    m = element_matrix(beam_splitter(p=0, q=1, T=0.5), 2)
+    m = transfer_matrix(Netlist(2, (beam_splitter(p=0, q=1, T=0.5),)))
     h = refdata.H
     np.testing.assert_allclose(m, h * np.array([[1j, 1.0], [1.0, 1j]]),
                                atol=1e-15)
 
 
 def test_unbalanced_splitter_reflection_probability():
-    m = element_matrix(beam_splitter(p=0, q=1, T=2.0 / 3.0), 2)
+    m = transfer_matrix(Netlist(2, (beam_splitter(p=0, q=1, T=2.0 / 3.0),)))
     out = m @ np.array([1.0, 0.0])
     assert abs(out[0]) ** 2 == pytest.approx(1.0 / 3.0)   # reflected arm
     assert abs(out[1]) ** 2 == pytest.approx(2.0 / 3.0)   # transmitted arm
 
 
 def test_diag_layer_matrix():
-    m = element_matrix(phase_layer((0.1, -0.2, 0.3)), 3)
+    m = transfer_matrix(Netlist(3, (phase_layer((0.1, -0.2, 0.3)),)))
     np.testing.assert_allclose(m, np.diag(np.exp(1j * np.array([0.1, -0.2, 0.3]))),
                                atol=1e-15)
 
@@ -76,7 +75,7 @@ def test_diag_layer_matrix():
 def test_splitter_blocks_are_unitary():
     for T in (0.0, 0.25, 0.5, 1.0):
         e = beam_splitter(p=0, q=2, T=T, alpha=0.4, beta=-1.0, phi=2.2)
-        assert unitarity_deviation(element_matrix(e, 3)) <= 1e-13
+        assert unitarity_deviation(transfer_matrix(Netlist(3, (e,)))) <= 1e-13
 
 
 def test_simulate_single_splitter():
@@ -168,8 +167,8 @@ def test_near_swap_splitter_survives_compile_and_file(tmp_path_factory, log_eps)
     assert_netlist_reproduces(u, tmp_path_factory.mktemp("net") / "net.json")
 
 
-def test_round_trip_makes_one_unitarity_check_and_no_fits(monkeypatch):
-    counted = ("unitarity_deviation", "fit_bs", "omega_from_transmission")
+def test_round_trip_makes_one_unitarity_check_and_no_transmission_inversion(monkeypatch):
+    counted = ("unitarity_deviation", "omega_from_transmission")
     calls = dict.fromkeys(counted, 0)
 
     def counter(name, fn):
@@ -191,7 +190,7 @@ def test_round_trip_makes_one_unitarity_check_and_no_fits(monkeypatch):
         nl = netlist_from_factorization(f)
         transfer_matrix(nl)
         simulate(nl, np.eye(n)[:, 0])
-        assert calls == {"unitarity_deviation": 1, "fit_bs": 0, "omega_from_transmission": 0}, n
+        assert calls == {"unitarity_deviation": 1, "omega_from_transmission": 0}, n
 
 
 def test_simulate_leaves_the_input_untouched():
