@@ -6,9 +6,12 @@ ray up to a global phase.  ``validate_context_graph`` is total: it returns
 a structured report instead of raising, so impossible label structures can
 be handed to it and come back flagged.
 
-Every part of a graph is read-only.  A ``Ray`` keeps its own read-only copy
-of its vector, and a ``Context`` stacks its rays once, into a read-only
-``(k, n)`` matrix (None when its rays differ in size).  Links and
+Every part of a graph is read-only.  A ``Ray`` built by a caller keeps its
+own read-only copy of its vector, and a ``Context`` stacks its rays once,
+into a read-only ``(k, n)`` matrix (None when its rays differ in size).  A
+context built from an observable by ``context_of`` stores one read-only
+matrix only, copied once from the rotation; its rays' vectors are views of
+that matrix's rows.  Links and
 validation read those matrices: one Gram matrix ``|X* Y^T|`` of two stacks
 picks the rays they share, and the validator's Gram matrix over the whole
 graph also gives each context's orthogonality.  A ``ContextGraph`` keeps
@@ -18,12 +21,14 @@ the same graph again.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
+from .devices import _trusted
 from .numerics import as_vector, read_json, rows_equal_up_to_global_phase, write_json
 from .observables import ObservableSpec
 
@@ -50,17 +55,30 @@ MAX_FILE_RAYS = 2048  # most rays read from a file, checked before any Ray: a 64
 _CONFIRM_ENTRIES = 1 << 20  # vector entries per candidate-confirming step: 16 MB per temporary
 
 
+def _check_unit_rows(rows, labels) -> None:
+    """The ray rule on each of ``rows``, in order: finite entries, then |norm - 1| <= 1e-10."""
+    for label, row in zip(labels, rows):
+        if not abs(math.sqrt(np.vdot(row, row).real) - 1.0) <= 1e-10:  # a row with NaN or inf fails too
+            if not np.isfinite(row).all():
+                raise ValueError("vector entries must be finite")
+            raise ValueError(f"ray {label!r} must have unit norm")
+
+
 @dataclass(frozen=True, eq=False)
 class Ray:
-    """A labeled unit vector (direction in state space), stored as a read-only copy."""
+    """A labeled unit vector (direction in state space), stored read-only.
+
+    A ray built by a caller keeps its own copy of the vector; a ray of a
+    context built by ``context_of`` holds a view of one row of its context's
+    matrix.
+    """
 
     label: str
     vector: np.ndarray
 
     def __post_init__(self):
         v = as_vector(np.array(self.vector, dtype=np.complex128))
-        if abs(np.sqrt(np.vdot(v, v).real) - 1.0) > 1e-10:
-            raise ValueError(f"ray {self.label!r} must have unit norm")
+        _check_unit_rows((v,), (self.label,))
         v.flags.writeable = False
         object.__setattr__(self, "vector", v)
         object.__setattr__(self, "label", str(self.label))
@@ -118,13 +136,19 @@ class ContextGraph:
 
 
 def context_of(spec: ObservableSpec, names, name: str = "context") -> Context:
-    """Context of an observable: its eigenvectors, labeled by ``names``."""
+    """Context of an observable: its eigenvectors, labeled by ``names``.
+
+    The context's matrix is one read-only copy of the spec's rotation (row i
+    is eigenvector i), and ray i's vector is a read-only view of row i.
+    """
     names = tuple(str(x) for x in names)
     if len(names) != spec.dim:
         raise ValueError(f"need {spec.dim} ray names, got {len(names)}")
-    vecs = spec.eigenvectors()
-    rays = tuple(Ray(label=names[i], vector=vecs[:, i]) for i in range(spec.dim))
-    return Context(name=name, rays=rays)
+    matrix = np.array(spec.rotation_or_identity(), dtype=np.complex128, order="C")
+    _check_unit_rows(matrix, names)
+    matrix.flags.writeable = False
+    rays = tuple(_trusted(Ray, label=label, vector=row) for label, row in zip(names, matrix))
+    return _trusted(Context, name=name, rays=rays, matrix=matrix)
 
 
 def _shared_rows(x: np.ndarray, y: np.ndarray | None, tol: float):
@@ -145,13 +169,13 @@ def _shared_rows(x: np.ndarray, y: np.ndarray | None, tol: float):
         y = x
     gram = np.abs(x.conj() @ y.T)
     hit = gram >= 1.0 - n * tol * tol / 2 - 1e-9
-    p, q = np.nonzero(np.triu(hit, 1) if upper else hit)
+    p, q = (np.triu(hit, 1) if upper else hit).nonzero()
     if p.size:
         step = max(1, _CONFIRM_ENTRIES // n)
-        ok = np.concatenate([
-            rows_equal_up_to_global_phase(x[p[lo : lo + step]], y[q[lo : lo + step]], tol)
-            for lo in range(0, p.size, step)
-        ])
+        ok = np.empty(p.size, dtype=bool)
+        for lo in range(0, p.size, step):
+            part = slice(lo, lo + step)
+            ok[part] = rows_equal_up_to_global_phase(x[p[part]], y[q[part]], tol)
         p, q = p[ok], q[ok]
     return p, q, gram
 
@@ -165,6 +189,8 @@ def links_between(c1: Context, c2: Context, tol: float = LINK_TOL) -> list[tuple
     x, y = c1.matrix, c2.matrix
     if x is not None and y is not None and x.shape[1] == y.shape[1]:
         p, q, _ = _shared_rows(x, y, tol)
+        if not p.size:
+            return []
         pairs = zip(p.tolist(), q.tolist())
     else:
         pairs = []

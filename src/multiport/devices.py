@@ -145,16 +145,11 @@ class MzParams:
 
     def __post_init__(self):
         a, b, o, f = (float(self.alpha), float(self.beta), float(self.omega), float(self.phi))
-        for val in (a, b, o, f):
-            if not math.isfinite(val):
-                raise ValueError("Mach-Zehnder angles must be finite")
-        o = wrap_angle(o)
-        if o < 0.0:
-            a, b, o, f = a - math.pi, b + o + math.pi, -o, f - math.pi
-        object.__setattr__(self, "alpha", wrap_angle(a))
-        object.__setattr__(self, "beta", wrap_angle(b))
-        object.__setattr__(self, "omega", o)
-        object.__setattr__(self, "phi", wrap_angle(f))
+        w = _checked_phases(np.array([a, b, o, f]))
+        if w[2] < 0.0:
+            w = _wrap(np.array([a - math.pi, b + w[2] + math.pi, -w[2], f - math.pi]))
+        for name, value in zip(("alpha", "beta", "omega", "phi"), w.tolist()):
+            object.__setattr__(self, name, value)
 
 
 def _t_block(omega, phi) -> tuple:

@@ -29,6 +29,8 @@ factorization or read from a file (the file's columns go there directly):
 * a ``bs`` mixing angle lies in [0, pi/2] (an overshoot within 1e-12 is
   clamped);
 * every angle and phase is finite;
+* a ``bs``'s phases alpha, beta, phi are wrapped to (-pi, pi], as in
+  ``BsParams``;
 * each ``diag`` has exactly one row of ``dim`` phases.
 
 An ``Element`` obeys the same rules as the one element of the smallest
@@ -108,7 +110,8 @@ class Element:
             dim = max(self.p, self.q or 0) + 1
         angles = Netlist._check(dim, *_element_columns((self,)))["angles"]
         if self.kind == "bs":
-            object.__setattr__(self, "omega", angles[0, 0].item())
+            for name, value in zip(("omega", "alpha", "beta", "phi"), angles[0].tolist()):
+                object.__setattr__(self, name, value)
 
     @property
     def T(self) -> Optional[float]:
@@ -179,6 +182,7 @@ class Netlist(_Mesh):
         phases = np.array(rows, dtype=float).reshape(-1, dim)
         if not (np.isfinite(angles).all() and np.isfinite(phases).all()):
             raise ValueError("angles and phases must be finite")
+        angles[two, 1:] = _wrap(angles[two, 1:])  # a bs's alpha, beta, phi, as BsParams keeps them
         return {"kind": kind, "p": p, "q": q, "angles": angles, "phases": phases}
 
     def _walk(self, base: int, seq):

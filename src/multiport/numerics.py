@@ -38,7 +38,7 @@ def as_matrix(m: ArrayLike) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got an array of ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -50,7 +50,7 @@ def as_vector(v: ArrayLike) -> np.ndarray:
         a = a.reshape(-1)
     if a.ndim != 1:
         raise ValueError(f"expected a vector, got an array of shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("vector entries must be finite")
     return a
 
@@ -173,12 +173,12 @@ def rows_equal_up_to_global_phase(a: ArrayLike, b: ArrayLike, tol: float = 1e-10
         raise ValueError(f"need two (k, n) arrays, got {x.shape} and {y.shape}")
     if x.shape[1] == 0:
         return np.ones(x.shape[0], dtype=bool)
-    at = (np.arange(x.shape[0]), np.argmax(np.abs(x) + np.abs(y), axis=1))
+    at = (np.arange(x.shape[0]), (np.abs(x) + np.abs(y)).argmax(axis=1))
     xi, yi = x[at], y[at]
     direct = (np.abs(xi) <= tol) | (np.abs(yi) <= tol)
     c = np.where(direct, 1.0, xi / np.where(direct, 1.0, yi))
     c = c / np.abs(c)
-    return np.max(np.abs(x - c[:, None] * y), axis=1) <= tol
+    return np.abs(x - c[:, None] * y).max(axis=1) <= tol
 
 
 # --- JSON persistence ---------------------------------------------------

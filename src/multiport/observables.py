@@ -74,9 +74,9 @@ class ObservableSpec:
             r = as_matrix(self.rotation)
             if r.shape != (self.dim, self.dim):
                 raise ValueError(f"rotation shape {r.shape} does not match dim {self.dim}")
-            if np.max(np.abs(r.imag)) > 1e-12:
+            if np.abs(r.imag).max() > 1e-12:
                 raise ValueError("rotation must be real")
-            if np.max(np.abs(r @ r.T - np.eye(self.dim))) > 1e-12:
+            if np.abs(r @ r.T - np.eye(self.dim)).max() > 1e-12:
                 raise ValueError("rotation must be orthogonal (R R^T = I within 1e-12)")
             object.__setattr__(self, "rotation", r)
         if self.labels is not None:

@@ -14,6 +14,7 @@ from multiport import (
     builtin_graph,
     context_of,
     greechie_dot,
+    identity_spec,
     links_between,
     load_context_graph,
     rotated_observable,
@@ -611,3 +612,109 @@ def test_greechie_dot_of_an_invalid_graph_reuses_the_report(monkeypatch):
     monkeypatch.setattr(multiport.contexts, "_shared_rows", None)
     with pytest.raises(ValueError, match="share 3 rays"):
         greechie_dot(g)
+
+
+# --- the chunked confirmation path -----------------------------------------
+
+def test_one_row_confirmation_steps_match_the_default_steps(monkeypatch):
+    three = builtin_graph("three-chain")
+    copies = ContextGraph(contexts=tuple(Context(f"C{k}", three.contexts[0].rays) for k in range(20)))
+    # Candidates that the exact check turns down: rays kicked just past LINK_TOL.
+    v = np.array([0.6, 0.8j, 0.0])
+    w = np.array([0.0, 0.0, 1.0])
+    kicked = ContextGraph(contexts=tuple(
+        tripod(f"K{k}", [np.exp(0.3j * k) * (v + kick * LINK_TOL * w)], ["v"])
+        for k, kick in enumerate((0.0, 1.01, 0.99, 1.01, 0.5))
+    ))
+    graphs = (ceg18_graph(), three, copies, kicked)
+    rows = []
+
+    def counting(a, b, tol):
+        rows.append(len(a))
+        return rows_equal_up_to_global_phase(a, b, tol)
+
+    def results():
+        rows.clear()
+        return [
+            (validate_context_graph(ContextGraph(contexts=g.contexts)),
+             [links_between(c1, c2) for c1 in g.contexts for c2 in g.contexts])
+            for g in graphs
+        ]
+
+    monkeypatch.setattr(multiport.contexts, "rows_equal_up_to_global_phase", counting)
+    want = results()
+    assert max(rows) > 1  # the 20 copies confirm their 1770 candidates in one call
+    monkeypatch.setattr(multiport.contexts, "_CONFIRM_ENTRIES", 1)  # one row per step
+    got = results()
+    assert max(rows) == 1 and len(rows) > 1770
+    assert got == want
+    assert not want[2][0].ok  # the copies share all three rays
+
+
+# --- contexts built from an observable -------------------------------------
+
+@st.composite
+def observable_specs(draw):
+    """A spec of dimension 2 or 3: a random real orthogonal rotation, or the identity."""
+    d = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        return identity_spec(d), None
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rotation = np.linalg.qr(rng.standard_normal((d, d)))[0].astype(np.complex128)
+    return ObservableSpec(dim=d, rotation=rotation), rotation
+
+
+@settings(max_examples=100, deadline=None)
+@given(observable_specs())
+def test_context_of_stores_one_matrix_with_ray_row_views(drawn):
+    spec, rotation = drawn
+    labels = [f"e{i}" for i in range(spec.dim)]
+    ctx = context_of(spec, labels, name="K")
+    vecs = spec.eigenvectors()
+    stacked = Context("K", tuple(Ray(l, vecs[:, i]) for i, l in enumerate(labels)))
+    assert ctx.matrix.dtype == stacked.matrix.dtype and ctx.matrix.shape == stacked.matrix.shape
+    assert ctx.matrix.tobytes() == stacked.matrix.tobytes()
+    assert ctx.labels == stacked.labels and ctx.name == "K"
+    for i, r in enumerate(ctx.rays):
+        assert r.vector.base is ctx.matrix
+        assert r.vector.tobytes() == ctx.matrix[i].tobytes() == stacked.rays[i].vector.tobytes()
+        with pytest.raises(ValueError):
+            r.vector[0] = 0.0
+    with pytest.raises(ValueError):
+        ctx.matrix[0, 0] = 0.0
+    kept = ctx.matrix.copy()
+    if rotation is not None:
+        assert spec.rotation is rotation  # the spec holds the caller's array, uncopied
+        rotation[:] = 7.0
+    assert ctx.matrix.tobytes() == kept.tobytes()
+
+
+def test_context_of_converts_ray_names_and_keeps_the_context_name():
+    name = ("any", "object")
+    ctx = context_of(identity_spec(3), [1, 2, 3], name=name)
+    assert ctx.labels == ("1", "2", "3")
+    assert ctx.name is name
+
+
+def test_context_of_checks_the_ray_unit_norm_rule_on_every_row():
+    spec = identity_spec(3)
+    object.__setattr__(spec, "rotation", np.diag([1.0, 1.0 + 2e-10, 2.0]).astype(np.complex128))
+    with pytest.raises(ValueError, match="^ray 'b' must have unit norm$"):
+        context_of(spec, "abc")
+    object.__setattr__(spec, "rotation", np.diag([1.0, 1.0 + 5e-11, 1.0]).astype(np.complex128))
+    assert context_of(spec, "abc").labels == ("a", "b", "c")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_context_of_rejects_a_non_finite_rotation_entry_as_ray_does(bad):
+    r = np.eye(3, dtype=np.complex128)
+    spec = ObservableSpec(3, r, (1.0, 2.0, 3.0))
+    assert spec.rotation is r  # the spec keeps the caller's array, so a later write reaches it
+    r[1, 2] = bad
+    with pytest.raises(ValueError, match="^vector entries must be finite$"):
+        Ray("b", r[1])
+    with pytest.raises(ValueError, match="^vector entries must be finite$"):
+        context_of(spec, "abc")
+    r[0, 0] = 2.0  # an earlier row off the unit norm is named first, as ray by ray
+    with pytest.raises(ValueError, match="^ray 'a' must have unit norm$"):
+        context_of(spec, "abc")

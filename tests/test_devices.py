@@ -22,7 +22,7 @@ from multiport import (
     wrap_angle,
 )
 from multiport.decompose import Factorization
-from multiport.devices import TWO, _apply_pairs, _stack, apply_layers, layer_steps
+from multiport.devices import TWO, _apply_pairs, _stack, _wrap, apply_layers, layer_steps
 from multiport.interferometer import Netlist
 
 import refdata
@@ -83,19 +83,22 @@ def _accepted_or_message(build):
 @settings(max_examples=300, deadline=None)
 @given(EDGE_ANGLES, EDGE_ANGLES)
 def test_scalar_angle_rules_agree_with_the_cell_arrays(omega, phase):
-    """TParams and BsParams accept, reject and clamp exactly as a one-cell mesh does."""
+    """TParams and BsParams accept, reject, clamp and wrap exactly as a one-cell mesh does."""
 
     def cell():
         f = Factorization._from_columns(2, np.array([0]), np.array([1]), np.array([omega]), np.array([phase]), [0, 0])
         return f.omega[0], f.phi[0]
 
-    def netlist_omega():
-        return Netlist._from_columns(2, [0], [0], [1], [(omega, 0.0, 0.0, 0.0)], []).angles[0, 0]
+    def netlist_cell():
+        return Netlist._from_columns(2, [0], [0], [1], [(omega, phase, -phase, 7.0 * phase)], []).angles[0]
 
     want = _accepted_or_message(cell)
     assert _accepted_or_message(lambda: astuple(TParams(omega, phase))) == want
     assert _accepted_or_message(lambda: astuple(BsParams(omega, phase, phase, phase))[:2]) == want
-    assert _accepted_or_message(lambda: BsParams(omega, 0.0, 0.0, 0.0).omega) == _accepted_or_message(netlist_omega)
+    bs = _accepted_or_message(lambda: astuple(BsParams(omega, phase, -phase, 7.0 * phase)))
+    if bs == "phase must be finite":  # a netlist words its finiteness rule once for all angles
+        bs = "angles and phases must be finite"
+    assert _accepted_or_message(netlist_cell) == bs
 
 
 def test_negative_zero_mixing_angle_is_stored_as_positive_zero():
@@ -109,6 +112,24 @@ def test_angle_checks_convert_with_float_first():
         TParams(None, 0.0)
     with pytest.raises(TypeError):
         BsParams(0.5, None, 0.0, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.one_of(EDGE_ANGLES, st.floats(-10.0, 10.0))] * 4))
+def test_mzparams_obeys_the_array_phase_rules(raw):
+    """NaN or inf in any angle raises; the stored angles are bitwise what ``_wrap`` returns."""
+    alpha, beta, omega, phi = raw
+    if not np.isfinite(raw).all():
+        with pytest.raises(ValueError, match="^phase must be finite$"):
+            MzParams(alpha, beta, omega, phi)
+        return
+    p = MzParams(alpha, beta, omega, phi)
+    w = _wrap(np.array(raw))
+    if w[2] < 0.0:  # the matrix-preserving fold, then the same wrap
+        w = _wrap(np.array([alpha - np.pi, beta + w[2] + np.pi, -w[2], phi - np.pi]))
+    assert np.array(astuple(p)).tobytes() == w.tobytes()
+    assert astuple(p) == tuple(wrap_angle(x) for x in astuple(p))  # canonical already
+    assert 0.0 <= p.omega <= np.pi
 
 
 def test_mzparams_flips_negative_mixing_angle():

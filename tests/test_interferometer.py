@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiport import (
+    BsParams,
     Element,
     Factorization,
     Netlist,
@@ -29,6 +30,7 @@ from multiport import (
     transfer_matrix,
     unitarity_deviation,
 )
+from multiport.devices import _bs_block
 from multiport.interferometer import netlist_to_payload
 
 import refdata
@@ -288,6 +290,15 @@ def test_bs_element_stores_omega_and_derives_transmission():
     for bad in (2.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             Element(kind="bs", p=0, q=1, omega=bad)
+
+
+def test_bs_element_wraps_its_phases_as_bs_params_does():
+    e = Element(kind="bs", p=0, q=1, omega=0.5, alpha=7.0, beta=-4.0, phi=np.pi)
+    want = BsParams(0.5, 7.0, -4.0, np.pi)
+    assert (e.omega, e.alpha, e.beta, e.phi) == (want.omega, want.alpha, want.beta, want.phi)
+    assert e.alpha == 7.0 - 2 * np.pi and e.beta == -4.0 + 2 * np.pi and e.phi == np.pi
+    unwrapped = np.array(_bs_block(0.5, 7.0, -4.0, np.pi))  # wrapping leaves the matrix alone
+    np.testing.assert_allclose(transfer_matrix(Netlist(2, (e,))), unwrapped, atol=1e-15)
 
 
 def test_loading_a_netlist_file_builds_no_element(tmp_path, monkeypatch):
