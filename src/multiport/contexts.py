@@ -14,17 +14,17 @@ matrix only, copied once from the rotation; its rays' vectors are views of
 that matrix's rows.  Links and
 validation read those matrices: one Gram matrix ``|X* Y^T|`` of two stacks
 picks the rays they share, and the validator's Gram matrix over the whole
-graph also gives each context's orthogonality.  A ``ContextGraph`` keeps
-the report of its first validation, so ``greechie_dot`` does not validate
-the same graph again.
+graph also gives each context's orthogonality.  The validator reads labels,
+shared-ray counts and links from one boolean matrix of the confirmed ray
+pairs, not from ray classes: equality within ``LINK_TOL`` is not transitive.
+A ``ContextGraph`` keeps the report of its first validation, so
+``greechie_dot`` does not validate the same graph again.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -227,6 +227,10 @@ def validate_context_graph(graph: ContextGraph) -> ValidationReport:
     two labels naming the same ray, and (dimension d >= 2) two distinct
     contexts sharing more than d - 2 rays, which no two distinct orthonormal
     bases can.  The graph keeps the report, and a second call returns it.
+
+    Labels, shared-ray counts and links come from one same-ray matrix of
+    the ray pairs that the Gram pass confirms.  Rays a = b and b = c within
+    ``LINK_TOL`` need not give a = c, so pairs are judged, not ray classes.
     """
     if graph._report is None:
         object.__setattr__(graph, "_report", _validate(graph))
@@ -239,29 +243,40 @@ def _validate(graph: ContextGraph) -> ValidationReport:
     dim = contexts[0].dim
 
     # One Gram pass per ray size over the stacked matrices of the contexts
-    # with one ray size.  The pass over size ``dim`` holds every context
-    # that is checked further, so its Gram matrix and pairs serve below.
+    # with one ray size; row r of a stack is ray pos[r] of context own[r].
+    # The pass over size ``dim`` holds every context that is checked
+    # further, so its Gram matrix and pairs serve below.
     by_size: dict[int, list[int]] = {}
     for k, ctx in enumerate(contexts):
         if ctx.matrix is not None:
             by_size.setdefault(ctx.matrix.shape[1], []).append(k)
-    links = []
-    flat, same, bad = [], set(), {}  # from the pass over size ``dim``
+    links = [np.empty((4, 0), dtype=np.intp)]  # rows a, b, i, j: ray i of context a is ray j of b
+    bad, clashes = {}, []  # from the pass over size ``dim``
     for n, ks in by_size.items():
-        # (context, position, ray) per row of the stack
-        rows = [(k, i, r) for k in ks for i, r in enumerate(contexts[k].rays)]
+        own = np.array([k for k in ks for _ in contexts[k].rays])
+        pos = np.array([i for k in ks for i in range(len(contexts[k].rays))])
         p, q, gram = _shared_rows(np.concatenate([contexts[k].matrix for k in ks]), None, LINK_TOL)
-        ids = list(range(len(rows)))  # one int object per row, shared by all its pairs
-        pairs = [(ids[a], ids[b]) for a, b in zip(p.tolist(), q.tolist())]
-        links += [(rows[a][0], rows[b][0], rows[a][1], rows[b][1])
-                  for a, b in pairs if rows[a][0] != rows[b][0]]
-        if n == dim:
-            flat, same = rows, set(pairs)
-            own = np.array([k for k, _, _ in rows])
-            inner = np.triu((gram > _ORTHO_TOL) & (own[:, None] == own[None, :]), 1)
-            for a, b in zip(*np.nonzero(inner)):
-                bad.setdefault(rows[a][0], []).append((rows[a][2], rows[b][2], gram[a, b]))
-    links = tuple(sorted(links))
+        links.append(np.array([own[p], own[q], pos[p], pos[q]])[:, own[p] != own[q]])
+        if n != dim:
+            continue
+        rays = [r for k in ks for r in contexts[k].rays]
+        names = [contexts[k].name for k in own.tolist()]
+        upper = ~np.tri(len(rays), dtype=bool)  # the row pairs a < b
+        for a, b in zip(*((gram > _ORTHO_TOL) & (own[:, None] == own) & upper).nonzero()):
+            bad.setdefault(own[a], []).append(
+                f"context {names[a]!r}: rays {rays[a].label!r} and {rays[b].label!r} are not "
+                f"orthogonal (|<.,.>| = {gram[a, b]:.3e})"
+            )
+        # A label names one ray and a ray carries one label: a pair clashes
+        # where its labels agree and its rays do not, or the other way round.
+        same = np.zeros((len(rays), len(rays)), dtype=bool)
+        same[p, q] = True
+        ids: dict[str, int] = {}
+        lab = np.array([ids.setdefault(r.label, len(ids)) for r in rays])
+        for a, b in zip(*((same != (lab[:, None] == lab)) & upper).nonzero()):
+            la, lb, na, nb = rays[a].label, rays[b].label, names[a], names[b]
+            clashes.append(f"labels {la!r} ({na!r}) and {lb!r} ({nb!r}) name the same ray" if same[a, b]
+                           else f"label {la!r} names different rays in contexts {na!r} and {nb!r}")
 
     for k, ctx in enumerate(contexts):
         if ctx.dim != dim:
@@ -276,49 +291,30 @@ def _validate(graph: ContextGraph) -> ValidationReport:
             violations.append(
                 f"context {ctx.name!r} has {len(ctx.rays)} rays, expected {dim}"
             )
-        for ri, rj, ip in bad.get(k, ()):
-            violations.append(
-                f"context {ctx.name!r}: rays {ri.label!r} and {rj.label!r} are not "
-                f"orthogonal (|<.,.>| = {ip:.3e})"
-            )
+        violations += bad.get(k, [])
         seen = set()
         for r in ctx.rays:
             if r.label in seen:
                 violations.append(f"context {ctx.name!r} repeats label {r.label!r}")
             seen.add(r.label)
+    violations += clashes
 
-    # Label consistency across the contexts of dimension ``dim``: a label
-    # names one ray, and one ray carries one label.  Only pairs that share a
-    # label or a ray can break it.
-    by_label: dict[str, list[int]] = {}
-    for a, (_, _, r) in enumerate(flat):
-        by_label.setdefault(r.label, []).append(a)
-    checked = set(same)
-    checked.update(pair for ix in by_label.values() for pair in combinations(ix, 2))
-    for a, b in sorted(checked):
-        (ka, _, ra), (kb, _, rb) = flat[a], flat[b]
-        na, nb = contexts[ka].name, contexts[kb].name
-        same_vec = (a, b) in same
-        if ra.label == rb.label and not same_vec:
-            violations.append(
-                f"label {ra.label!r} names different rays in contexts {na!r} and {nb!r}"
-            )
-        elif ra.label != rb.label and same_vec:
-            violations.append(
-                f"labels {ra.label!r} ({na!r}) and {rb.label!r} ({nb!r}) name the same ray"
-            )
-
+    links = np.concatenate(links, axis=1)
     if dim >= 2:
-        shared = Counter((a, b) for a, b, _, _ in links)
+        c = len(contexts)
+        shared = np.bincount(links[0] * c + links[1], minlength=c * c).reshape(c, c)
         most = "one" if dim == 3 else str(dim - 2)
-        for (a, b), count in sorted(shared.items()):
-            if count > dim - 2:
-                violations.append(
-                    f"contexts {contexts[a].name!r} and {contexts[b].name!r} share "
-                    f"{count} rays up to phase; distinct dimension-{dim} contexts "
-                    f"may share at most {most}"
-                )
+        for a, b in zip(*(shared > dim - 2).nonzero()):
+            violations.append(
+                f"contexts {contexts[a].name!r} and {contexts[b].name!r} share "
+                f"{shared[a, b]} rays up to phase; distinct dimension-{dim} contexts "
+                f"may share at most {most}"
+            )
 
+    links = links[:, np.lexsort(links[::-1])]  # in the order of (a, b, i, j) tuples
+    # One int object per value, shared by all links: a file at the ray cap has 2.1M.
+    ints = np.arange(links.max(initial=-1) + 1).astype(object)
+    links = tuple(zip(*ints[links].tolist()))
     return ValidationReport(ok=not violations, violations=tuple(violations), links=links)
 
 

@@ -56,16 +56,11 @@ _RANGE_SLOP = 1e-12  # tolerated overshoot before an omega is rejected
 
 
 def wrap_angle(x: float) -> float:
-    """Wrap an angle to the half-open interval (-pi, pi].
+    """Wrap an angle to the half-open interval (-pi, pi], by the cell arrays' rule.
 
     Exact (bitwise identity) for inputs already inside the interval.
     """
-    w = math.fmod(float(x), _TWO_PI)
-    if w <= -math.pi:
-        w += _TWO_PI
-    elif w > math.pi:
-        w -= _TWO_PI
-    return w
+    return float(_wrap(np.float64(x)))
 
 
 # The angle rules, elementwise over the cell arrays of a whole mesh.  A

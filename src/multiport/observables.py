@@ -78,6 +78,8 @@ class ObservableSpec:
                 raise ValueError("rotation must be real")
             if np.abs(r @ r.T - np.eye(self.dim)).max() > 1e-12:
                 raise ValueError("rotation must be orthogonal (R R^T = I within 1e-12)")
+            r = r.copy()  # the spec's own, so no later write by the caller reaches it
+            r.flags.writeable = False
             object.__setattr__(self, "rotation", r)
         if self.labels is not None:
             labs = tuple(float(x) for x in self.labels)
@@ -93,10 +95,6 @@ class ObservableSpec:
         if self.rotation is None:
             return np.eye(self.dim, dtype=np.complex128)
         return self.rotation
-
-    def eigenvectors(self) -> np.ndarray:
-        """Matrix whose column i is the eigenvector for label slot i."""
-        return self.rotation_or_identity().T.copy()
 
     def label_values(self) -> tuple[float, ...]:
         """Labels, with the all-ones convention for identity slots."""

@@ -451,6 +451,41 @@ def test_gram_validator_matches_pairwise_reference(d):
     assert {"label", "labels", "contexts"} <= set(kinds), kinds
 
 
+def non_transitive_chain():
+    """Contexts A, B, C whose first rays e1 + k delta e2 (k = 0, 1, 2), all
+    labelled x, are equal within LINK_TOL for A-B and B-C but not for A-C."""
+    delta = 0.6 * LINK_TOL
+    contexts = []
+    for k, name in enumerate("ABC"):
+        v = np.array([1.0, k * delta, 0.0])
+        u = np.array([-k * delta, 1.0, 0.0])
+        v, u, w = v / np.linalg.norm(v), u / np.linalg.norm(u), E3[2]
+        t = 0.3 * k + 0.2  # the other two rays differ from context to context
+        contexts.append(tripod(name, [v, np.cos(t) * u + np.sin(t) * w, np.cos(t) * w - np.sin(t) * u],
+                               ["x", f"{name}2", f"{name}3"]))
+    return ContextGraph(contexts=tuple(contexts))
+
+
+def ray_copies(count):
+    """``count`` contexts of three copies of one labelled ray: the capped 2048-ray file, scaled down."""
+    return ContextGraph(contexts=tuple(tripod(f"C{k}", [E3[0]] * 3, ["a"] * 3) for k in range(count)))
+
+
+@pytest.mark.parametrize("make, pinned, count", [
+    pytest.param(non_transitive_chain, "label 'x' names different rays in contexts 'A' and 'C'", 1,
+                 id="non-transitive-chain"),
+    # Per context 3 non-orthogonal pairs and 2 repeated labels; each of the 435 pairs shares 9 rays.
+    pytest.param(lambda: ray_copies(30), "contexts 'C0' and 'C29' share 9 rays up to phase; "
+                 "distinct dimension-3 contexts may share at most one", 90 + 60 + 435, id="ray-copies"),
+])
+def test_validator_judges_each_ray_pair_on_its_own(make, pinned, count):
+    g = make()
+    report = validate_context_graph(g)
+    assert report.violations == reference_violations(g)
+    assert report.links == reference_link_indices(g)
+    assert pinned in report.violations and len(report.violations) == count
+
+
 def chain_graph(rng, length):
     """A valid chain of dimension-3 contexts, neighbours sharing one ray."""
     contexts, prev, prev_label = [], None, "s0"
@@ -670,7 +705,7 @@ def test_context_of_stores_one_matrix_with_ray_row_views(drawn):
     spec, rotation = drawn
     labels = [f"e{i}" for i in range(spec.dim)]
     ctx = context_of(spec, labels, name="K")
-    vecs = spec.eigenvectors()
+    vecs = spec.rotation_or_identity().T
     stacked = Context("K", tuple(Ray(l, vecs[:, i]) for i, l in enumerate(labels)))
     assert ctx.matrix.dtype == stacked.matrix.dtype and ctx.matrix.shape == stacked.matrix.shape
     assert ctx.matrix.tobytes() == stacked.matrix.tobytes()
@@ -682,11 +717,11 @@ def test_context_of_stores_one_matrix_with_ray_row_views(drawn):
             r.vector[0] = 0.0
     with pytest.raises(ValueError):
         ctx.matrix[0, 0] = 0.0
-    kept = ctx.matrix.copy()
+    kept, held = ctx.matrix.copy(), spec.rotation_or_identity().copy()
     if rotation is not None:
-        assert spec.rotation is rotation  # the spec holds the caller's array, uncopied
-        rotation[:] = 7.0
+        rotation[:] = 7.0  # a write to the caller's array reaches neither the spec nor the context
     assert ctx.matrix.tobytes() == kept.tobytes()
+    assert spec.rotation_or_identity().tobytes() == held.tobytes()
 
 
 def test_context_of_converts_ray_names_and_keeps_the_context_name():
@@ -708,8 +743,8 @@ def test_context_of_checks_the_ray_unit_norm_rule_on_every_row():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_context_of_rejects_a_non_finite_rotation_entry_as_ray_does(bad):
     r = np.eye(3, dtype=np.complex128)
-    spec = ObservableSpec(3, r, (1.0, 2.0, 3.0))
-    assert spec.rotation is r  # the spec keeps the caller's array, so a later write reaches it
+    spec = ObservableSpec(3, None, (1.0, 2.0, 3.0))
+    object.__setattr__(spec, "rotation", r)  # a rotation that skipped the spec's checks
     r[1, 2] = bad
     with pytest.raises(ValueError, match="^vector entries must be finite$"):
         Ray("b", r[1])

@@ -101,6 +101,17 @@ def test_observable_spec_validation():
         ObservableSpec(dim=2, rotation=np.ones((2, 2)))
 
 
+def test_observable_spec_keeps_a_read_only_copy_of_its_rotation():
+    r = rotation_plane(3, (1, 2), 0.3)
+    spec = ObservableSpec(3, r, (1.0, 0.0, -1.0))
+    before = rotated_observable(spec)
+    r[0, 0] = 5.0  # a write to the caller's array, after the checks passed
+    assert spec.rotation is not r and spec.rotation.dtype == np.complex128
+    np.testing.assert_array_equal(rotated_observable(spec), before)
+    with pytest.raises(ValueError):
+        spec.rotation[0, 0] = 5.0
+
+
 def test_default_labels():
     assert default_labels(2) == (1.0, 0.0)
     assert default_labels(3) == (1.0, 0.0, -1.0)
@@ -193,7 +204,7 @@ def test_zero_angle_matches_unrotated_construction():
 
 def per_row_analyzer(parts, ordering):
     """The per-row construction that one Kronecker product replaced."""
-    vecs = [p.eigenvectors() for p in parts]
+    vecs = [p.rotation_or_identity().T for p in parts]
     labels = [p.label_values() for p in parts]
     indices = list(product(*[range(p.dim) for p in parts]))
     if ordering == "reversed_lex":
