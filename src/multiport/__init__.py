@@ -43,11 +43,8 @@ from .devices import (
 from .interferometer import (
     Element,
     Netlist,
-    beam_splitter,
     load_netlist,
     netlist_from_factorization,
-    phase_layer,
-    phase_shifter,
     render_schematic,
     save_netlist,
     simulate,

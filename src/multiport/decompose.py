@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .devices import (
+    MAX_FILE_DIM,
     TParams,
     TWO,
     _Mesh,
@@ -49,21 +50,14 @@ UNITARY_TOL = 1e-9  # input Gram deviation; residual distance from a unit-modulu
 
 @dataclass(frozen=True)
 class TFactor:
-    """One embedded cell acting on ports ``p < q`` (0-based)."""
+    """One embedded cell acting on ports ``p < q`` (0-based), as ``Factorization.factors`` shows it."""
 
     p: int
     q: int
     params: TParams
 
-    def __post_init__(self):
-        p, q = int(self.p), int(self.q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        if not 0 <= p < q:
-            raise ValueError(f"need 0 <= p < q, got p={p}, q={q}")
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Factorization(_Mesh):
     """Ordered cell factors plus the final diagonal, stored as phases.
 
@@ -71,9 +65,12 @@ class Factorization(_Mesh):
     ``D = diag(exp(i * diagonal))``; equivalently
     ``u == D^dagger @ T_K^dagger @ ... @ T_1^dagger``.
 
-    The cells are held as read-only arrays ``p``, ``q`` (ports), ``omega``
-    and ``phi``, checked once per array; ``diagonal`` is an array too.
-    ``factors`` is a tuple view of ``TFactor`` objects, built on first use.
+    A factorization comes from ``decompose`` or from its file format
+    (``factorization_from_payload``), both of which give valid ports.  The
+    cells are held as read-only arrays ``p``, ``q`` (ports), ``omega`` and
+    ``phi``, checked once per array; ``diagonal`` is an array too.
+    ``factors`` is a read-only tuple view of ``TFactor`` objects, built on
+    first use.
     """
 
     dim: int
@@ -81,20 +78,9 @@ class Factorization(_Mesh):
     diagonal: np.ndarray
     _view = "factors"
 
-    def __post_init__(self):
-        fs = tuple(self.factors)
-        object.__setattr__(self, "factors", fs)
-        self._store_columns(
-            np.array([f.p for f in fs], dtype=np.int64),
-            np.array([f.q for f in fs], dtype=np.int64),
-            np.array([f.params.omega for f in fs], dtype=float),
-            np.array([f.params.phi for f in fs], dtype=float),
-            self.diagonal,
-        )
-
     @staticmethod
     def _check(dim, p, q, omega, phi, diagonal) -> dict:
-        """Check the cell arrays once, with the rules of TFactor and TParams."""
+        """Check the cell arrays once, with the rules of TParams; the ports arrive valid."""
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         diagonal = np.array(diagonal, dtype=float).reshape(-1)
@@ -103,12 +89,6 @@ class Factorization(_Mesh):
         limit = dim * (dim - 1) // 2
         if p.size > limit:
             raise ValueError(f"{p.size} factors exceed the n(n-1)/2 = {limit} bound")
-        bad = np.flatnonzero((p < 0) | (p >= q))
-        if bad.size:
-            raise ValueError(f"need 0 <= p < q, got p={p[bad[0]]}, q={q[bad[0]]}")
-        bad = np.flatnonzero(q >= dim)
-        if bad.size:
-            raise ValueError(f"factor ports ({p[bad[0]]}, {q[bad[0]]}) out of range for dim {dim}")
         return {
             "p": p,
             "q": q,
@@ -244,6 +224,8 @@ def factorization_to_payload(f: Factorization) -> dict:
 
 def factorization_from_payload(payload: dict) -> Factorization:
     dim = int(payload["dim"])
+    if dim > MAX_FILE_DIM:
+        raise ValueError(f"factorization dim {dim} exceeds the limit of {MAX_FILE_DIM}")
     items = payload["factors"]
     p = np.array([int(item["p"]) for item in items], dtype=np.int64)
     q = np.array([int(item["q"]) for item in items], dtype=np.int64)

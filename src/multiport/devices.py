@@ -53,14 +53,16 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _RANGE_SLOP = 1e-12  # tolerated overshoot before an omega is rejected
+MAX_FILE_DIM = 4096  # largest mesh dim read from a file, checked before any allocation
 
 
 def wrap_angle(x: float) -> float:
-    """Wrap an angle to the half-open interval (-pi, pi], by the cell arrays' rule.
+    """Wrap a finite angle to the half-open interval (-pi, pi], by the cell arrays' rule.
 
-    Exact (bitwise identity) for inputs already inside the interval.
+    Exact (bitwise identity) for inputs already inside the interval; a
+    non-finite angle raises ``ValueError``.
     """
-    return float(_wrap(np.float64(x)))
+    return _checked_phases(np.array([float(x)]))[0].item()
 
 
 # The angle rules, elementwise over the cell arrays of a whole mesh.  A
@@ -92,10 +94,6 @@ def _checked_mixing(omega: float, hi: float) -> float:
     return _checked_mixings(np.array([float(omega)]), hi)[0].item()
 
 
-def _checked_phase(x: float) -> float:
-    return _checked_phases(np.array([float(x)]))[0].item()
-
-
 @dataclass(frozen=True)
 class TParams:
     """Parameters of the bare elimination cell; omega in [0, pi/2]."""
@@ -105,7 +103,7 @@ class TParams:
 
     def __post_init__(self):
         object.__setattr__(self, "omega", _checked_mixing(self.omega, math.pi / 2))
-        object.__setattr__(self, "phi", _checked_phase(self.phi))
+        object.__setattr__(self, "phi", wrap_angle(self.phi))
 
 
 @dataclass(frozen=True)
@@ -119,9 +117,9 @@ class BsParams:
 
     def __post_init__(self):
         object.__setattr__(self, "omega", _checked_mixing(self.omega, math.pi / 2))
-        object.__setattr__(self, "alpha", _checked_phase(self.alpha))
-        object.__setattr__(self, "beta", _checked_phase(self.beta))
-        object.__setattr__(self, "phi", _checked_phase(self.phi))
+        object.__setattr__(self, "alpha", wrap_angle(self.alpha))
+        object.__setattr__(self, "beta", wrap_angle(self.beta))
+        object.__setattr__(self, "phi", wrap_angle(self.phi))
 
 
 @dataclass(frozen=True)
@@ -261,8 +259,10 @@ class _Mesh:
 
     A subclass is a frozen dataclass holding ``dim`` and the columns ``kind``,
     ``p`` and ``q``.  Its one checker, ``_check(dim, *columns)``, returns the
-    checked columns by name, and every constructor stores them through it.
-    It names its tuple view in ``_view`` and builds it in ``_build_view``;
+    checked columns by name, and every way in stores them through it:
+    ``_from_columns`` for the producers and file readers, and ``Netlist``'s
+    element constructor.  It names its read-only tuple view in ``_view`` and
+    builds it in ``_build_view``;
     ``_coefficients()`` returns the ``block`` and ``rows`` that ``layer_steps``
     takes.
     """

@@ -20,9 +20,10 @@ layers of cells plus the final ``diag``.  Ports are 0-based in memory and
 1-based in files and rendered output.  Netlist files write ``"omega"``; a
 ``bs`` with only ``"T"`` (the older format) is still read.
 
-A netlist is held to one set of rules, checked once per column array by
-``Netlist._check``, whether it is built from elements, compiled from a
-factorization or read from a file (the file's columns go there directly):
+A netlist is compiled from a factorization or read from a file, whose
+format is the one documented way to write a mesh by hand; ``Netlist(dim,
+elements)`` also builds one from ``Element`` objects.  Every way in ends in
+one set of rules, checked once per column array by ``Netlist._check``:
 
 * ``dim >= 1``;
 * a ``bs`` has ports 0 <= p < q < dim, a ``ps`` has 0 <= p < dim;
@@ -30,7 +31,7 @@ factorization or read from a file (the file's columns go there directly):
   clamped);
 * every angle and phase is finite;
 * a ``bs``'s phases alpha, beta, phi are wrapped to (-pi, pi], as in
-  ``BsParams``;
+  ``BsParams``, once, by the checker;
 * each ``diag`` has exactly one row of ``dim`` phases.
 
 An ``Element`` obeys the same rules as the one element of the smallest
@@ -48,6 +49,7 @@ import numpy as np
 from .decompose import Factorization
 from .devices import (
     ALL,
+    MAX_FILE_DIM,
     ONE,
     TWO,
     _Mesh,
@@ -64,9 +66,6 @@ from .numerics import as_vector, read_json, write_json
 __all__ = [
     "Element",
     "Netlist",
-    "beam_splitter",
-    "phase_shifter",
-    "phase_layer",
     "netlist_from_factorization",
     "transfer_matrix",
     "simulate",
@@ -79,7 +78,6 @@ __all__ = [
 
 _KINDS = ("bs", "ps", "diag")
 _NEEDS = {"bs": ("p", "q", "omega"), "ps": ("p", "phase"), "diag": ("phases",)}
-MAX_FILE_DIM = 4096  # largest netlist dim read from a file, checked before any allocation
 _HALF_PI = 0.5 * math.pi
 
 
@@ -117,21 +115,6 @@ class Element:
     def T(self) -> Optional[float]:
         """Transmission cos^2(omega) of a ``bs``; None for the other kinds."""
         return None if self.omega is None else transmission(self.omega)
-
-
-def beam_splitter(p: int, q: int, T: float, alpha: float = 0.0, beta: float = 0.0, phi: float = 0.0) -> Element:
-    """A ``bs`` with transmission ``T`` in [0, 1], stored as omega = acos(sqrt(T))."""
-    return Element(
-        kind="bs", p=int(p), q=int(q), omega=omega_from_transmission(T), alpha=float(alpha), beta=float(beta), phi=float(phi)
-    )
-
-
-def phase_shifter(p: int, phase: float) -> Element:
-    return Element(kind="ps", p=int(p), phase=float(phase))
-
-
-def phase_layer(phases) -> Element:
-    return Element(kind="diag", phases=tuple(float(x) for x in phases))
 
 
 @dataclass(frozen=True)
@@ -182,14 +165,15 @@ class Netlist(_Mesh):
         phases = np.array(rows, dtype=float).reshape(-1, dim)
         if not (np.isfinite(angles).all() and np.isfinite(phases).all()):
             raise ValueError("angles and phases must be finite")
-        angles[two, 1:] = _wrap(angles[two, 1:])  # a bs's alpha, beta, phi, as BsParams keeps them
+        # A bs's alpha, beta, phi, as BsParams keeps them; every producer leaves zeros there in other rows.
+        angles[:, 1:] = _wrap(angles[:, 1:])
         return {"kind": kind, "p": p, "q": q, "angles": angles, "phases": phases}
 
     def _walk(self, base: int, seq):
         """The fields of each element in order, ports offset by ``base``, each diag row a ``seq``.
 
-        The one bs/ps/diag dispatch over the columns: the ``elements`` view
-        and the file writer both read it.
+        The one bs/ps/diag dispatch over the columns: the ``elements`` view,
+        the file writer and both schematic renderers read it.
         """
         rows = iter(self.phases.tolist())
         for k, p, q, (omega, alpha, beta, phi) in zip(
@@ -248,8 +232,8 @@ def netlist_from_factorization(f: Factorization) -> Netlist:
     k = f.p.size
     angles = np.empty((k + 1, 4))
     angles[:k, 0] = f.omega
-    angles[:k, 1] = _wrap(-f.phi - _HALF_PI)
-    angles[:k, 2] = _wrap(f.phi + _HALF_PI)
+    angles[:k, 1] = -f.phi - _HALF_PI  # wrapped by Netlist._check
+    angles[:k, 2] = f.phi + _HALF_PI
     angles[:k, 3] = -_HALF_PI
     angles[k] = 0.0
     kind = np.append(np.full(k, TWO), ALL)
@@ -285,17 +269,17 @@ def render_schematic(nl: Netlist, format: str = "text") -> str:
     Ports are shown 1-based.  Byte-identical output for equal netlists.
     """
     if format == "text":
-        lines = [f"netlist dim={nl.dim} elements={len(nl.elements)}"]
-        for e in nl.elements:
-            if e.kind == "bs":
+        lines = [f"netlist dim={nl.dim} elements={nl.kind.size}"]
+        for e in nl._walk(1, tuple):
+            if e["kind"] == "bs":
                 lines.append(
-                    f"BS {e.p + 1},{e.q + 1} T={_fmt(e.T)} alpha={_fmt(e.alpha)} "
-                    f"beta={_fmt(e.beta)} phi={_fmt(e.phi)}"
+                    f"BS {e['p']},{e['q']} T={_fmt(transmission(e['omega']))} alpha={_fmt(e['alpha'])} "
+                    f"beta={_fmt(e['beta'])} phi={_fmt(e['phi'])}"
                 )
-            elif e.kind == "ps":
-                lines.append(f"PS {e.p + 1} phi={_fmt(e.phase)}")
+            elif e["kind"] == "ps":
+                lines.append(f"PS {e['p']} phi={_fmt(e['phase'])}")
             else:
-                lines.append("DIAG " + " ".join(_fmt(x) for x in e.phases))
+                lines.append("DIAG " + " ".join(_fmt(x) for x in e["phases"]))
         return "\n".join(lines) + "\n"
     if format == "svg":
         return _render_svg(nl)
@@ -305,7 +289,7 @@ def render_schematic(nl: Netlist, format: str = "text") -> str:
 def _render_svg(nl: Netlist) -> str:
     col_w, row_h = 90, 50
     left, top = 70, 40
-    width = left + col_w * max(1, len(nl.elements)) + 40
+    width = left + col_w * max(1, nl.kind.size) + 40
     height = top + row_h * (nl.dim - 1) + 40
 
     def y(port: int) -> int:
@@ -320,17 +304,15 @@ def _render_svg(nl: Netlist) -> str:
     for port in range(nl.dim):
         parts.append(f'<line x1="20" y1="{y(port)}" x2="{width - 20}" y2="{y(port)}"/>')
         parts.append(f'<text x="4" y="{y(port) + 4}">{port + 1}</text>')
-    for i, e in enumerate(nl.elements):
+    for i, e in enumerate(nl._walk(0, tuple)):
         x = left + col_w * i
-        if e.kind == "bs":
-            parts.append(
-                f'<rect x="{x - 12}" y="{y(e.p) - 12}" width="24" '
-                f'height="{y(e.q) - y(e.p) + 24}"/>'
-            )
-            parts.append(f'<text x="{x - 12}" y="{y(e.p) - 18}">T={_fmt(e.T)}</text>')
-        elif e.kind == "ps":
-            parts.append(f'<rect x="{x - 10}" y="{y(e.p) - 10}" width="20" height="20"/>')
-            parts.append(f'<text x="{x - 10}" y="{y(e.p) - 16}">ph={_fmt(e.phase)}</text>')
+        if e["kind"] == "bs":
+            p, q = e["p"], e["q"]
+            parts.append(f'<rect x="{x - 12}" y="{y(p) - 12}" width="24" height="{y(q) - y(p) + 24}"/>')
+            parts.append(f'<text x="{x - 12}" y="{y(p) - 18}">T={_fmt(transmission(e["omega"]))}</text>')
+        elif e["kind"] == "ps":
+            parts.append(f'<rect x="{x - 10}" y="{y(e["p"]) - 10}" width="20" height="20"/>')
+            parts.append(f'<text x="{x - 10}" y="{y(e["p"]) - 16}">ph={_fmt(e["phase"])}</text>')
         else:
             for port in range(nl.dim):
                 parts.append(f'<rect x="{x - 8}" y="{y(port) - 8}" width="16" height="16"/>')

@@ -153,17 +153,27 @@ def test_corrupted_cell_is_caught(monkeypatch):
 
 
 def test_empty_factorization_reconstructs_identity():
-    f = Factorization(dim=3, factors=(), diagonal=(0.0, 0.0, 0.0))
+    f = factorization_from_payload({"dim": 3, "factors": [], "diagonal": [0.0, 0.0, 0.0]})
     np.testing.assert_array_equal(reconstruct(f), np.eye(3))
 
 
 def test_factor_port_validation():
+    # A factorization comes only from decompose or the file format, whose reader checks the ports.
     with pytest.raises(ValueError):
-        TFactor(p=2, q=1, params=TParams(0.1, 0.0))
-    with pytest.raises(ValueError):
-        TFactor(p=1, q=1, params=TParams(0.1, 0.0))
-    with pytest.raises(ValueError):
-        Factorization(dim=2, factors=(), diagonal=(0.0,))
+        factorization_from_payload({"dim": 2, "factors": [], "diagonal": [0.0]})
+    for p, q in ((2, 1), (1, 1), (0, 1), (1, 3)):
+        factor = {"p": p, "q": q, "omega": 0.1, "phi": 0.0}
+        with pytest.raises(ValueError, match="invalid for dim 2"):
+            factorization_from_payload({"dim": 2, "factors": [factor], "diagonal": [0.0, 0.0]})
+    with pytest.raises(TypeError):
+        Factorization(2, (), (0.0, 0.0))
+
+
+def test_factorization_file_dim_is_capped(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"dim": 4097, "factors": [], "diagonal": [0.0] * 4097}))
+    with pytest.raises(ValueError, match="^factorization dim 4097 exceeds the limit of 4096$"):
+        load_factorization(path)
 
 
 def test_factorization_file_round_trip(tmp_path):
@@ -203,7 +213,7 @@ def test_factorization_file_without_omega_is_a_value_error(tmp_path):
 
 def test_factorization_arrays_follow_the_tparams_rules():
     # Cells built from arrays (decompose, files) are checked once per array,
-    # with the clamping, wrapping and messages of TParams and TFactor.
+    # with the clamping, wrapping and messages of TParams.
     omega, phi = [-1e-13, np.pi / 2 + 1e-13, 0.4], [4.0, -np.pi, np.pi]
     f = factorization_from_payload({
         "dim": 3,

@@ -43,6 +43,12 @@ def test_wrap_angle_is_identity_in_range():
         assert wrap_angle(x) == x  # bitwise
 
 
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+def test_wrap_angle_rejects_non_finite(x):
+    with pytest.raises(ValueError, match="phase must be finite"):
+        wrap_angle(x)
+
+
 def test_wrap_angle_folds_multiples():
     assert wrap_angle(3 * np.pi) == pytest.approx(np.pi)
     assert wrap_angle(-np.pi) == pytest.approx(np.pi)

@@ -9,18 +9,14 @@ from hypothesis import given, settings, strategies as st
 from multiport import (
     BsParams,
     Element,
-    Factorization,
     Netlist,
-    TFactor,
     TParams,
-    beam_splitter,
     bell_state,
     decompose,
     equal_up_to_global_phase,
     load_netlist,
     netlist_from_factorization,
-    phase_layer,
-    phase_shifter,
+    omega_from_transmission,
     random_unitary,
     reconstruct,
     render_schematic,
@@ -30,58 +26,65 @@ from multiport import (
     transfer_matrix,
     unitarity_deviation,
 )
-from multiport.devices import _bs_block
-from multiport.interferometer import netlist_to_payload
+from multiport.decompose import factorization_from_payload
+from multiport.devices import _bs_block, _wrap
+from multiport.interferometer import netlist_from_payload, netlist_to_payload
 
 import refdata
 
 
+def net(dim, *elements):
+    """A netlist written by hand in the file format, ports 1-based."""
+    return netlist_from_payload({"dim": dim, "elements": list(elements)})
+
+
 def test_element_validation():
+    half = omega_from_transmission(0.5)
     with pytest.raises(ValueError):
-        beam_splitter(p=2, q=1, T=0.5)
+        Element(kind="bs", p=2, q=1, omega=half)
     with pytest.raises(ValueError):
-        beam_splitter(p=0, q=1, T=1.5)
+        net(2, {"kind": "bs", "p": 1, "q": 2, "T": 1.5})
     with pytest.raises(ValueError):
-        phase_layer(())
+        Element(kind="diag", phases=())
     with pytest.raises(ValueError):
-        Netlist(dim=2, elements=(beam_splitter(p=0, q=2, T=0.5),))
+        Netlist(dim=2, elements=(Element(kind="bs", p=0, q=2, omega=half),))
     with pytest.raises(ValueError):
-        Netlist(dim=3, elements=(phase_layer((0.0, 0.0)),))
+        Netlist(dim=3, elements=(Element(kind="diag", phases=(0.0, 0.0)),))
 
 
 def test_phase_shifter_matrix():
-    m = transfer_matrix(Netlist(2, (phase_shifter(0, np.pi),)))
+    m = transfer_matrix(net(2, {"kind": "ps", "p": 1, "phase": np.pi}))
     np.testing.assert_allclose(m, np.diag([-1.0, 1.0]), atol=1e-15)
 
 
 def test_balanced_splitter_block():
-    m = transfer_matrix(Netlist(2, (beam_splitter(p=0, q=1, T=0.5),)))
+    m = transfer_matrix(net(2, {"kind": "bs", "p": 1, "q": 2, "T": 0.5}))
     h = refdata.H
     np.testing.assert_allclose(m, h * np.array([[1j, 1.0], [1.0, 1j]]),
                                atol=1e-15)
 
 
 def test_unbalanced_splitter_reflection_probability():
-    m = transfer_matrix(Netlist(2, (beam_splitter(p=0, q=1, T=2.0 / 3.0),)))
+    m = transfer_matrix(net(2, {"kind": "bs", "p": 1, "q": 2, "T": 2.0 / 3.0}))
     out = m @ np.array([1.0, 0.0])
     assert abs(out[0]) ** 2 == pytest.approx(1.0 / 3.0)   # reflected arm
     assert abs(out[1]) ** 2 == pytest.approx(2.0 / 3.0)   # transmitted arm
 
 
 def test_diag_layer_matrix():
-    m = transfer_matrix(Netlist(3, (phase_layer((0.1, -0.2, 0.3)),)))
+    m = transfer_matrix(net(3, {"kind": "diag", "phases": [0.1, -0.2, 0.3]}))
     np.testing.assert_allclose(m, np.diag(np.exp(1j * np.array([0.1, -0.2, 0.3]))),
                                atol=1e-15)
 
 
 def test_splitter_blocks_are_unitary():
     for T in (0.0, 0.25, 0.5, 1.0):
-        e = beam_splitter(p=0, q=2, T=T, alpha=0.4, beta=-1.0, phi=2.2)
-        assert unitarity_deviation(transfer_matrix(Netlist(3, (e,)))) <= 1e-13
+        e = {"kind": "bs", "p": 1, "q": 3, "T": T, "alpha": 0.4, "beta": -1.0, "phi": 2.2}
+        assert unitarity_deviation(transfer_matrix(net(3, e))) <= 1e-13
 
 
 def test_simulate_single_splitter():
-    nl = Netlist(dim=2, elements=(beam_splitter(p=0, q=1, T=0.5),))
+    nl = net(2, {"kind": "bs", "p": 1, "q": 2, "T": 0.5})
     out = simulate(nl, [1.0, 0.0])
     h = refdata.H
     np.testing.assert_allclose(out, [1j * h, h], atol=1e-15)
@@ -134,10 +137,11 @@ def mesh_unitary(n, omegas, seed):
     rng = np.random.default_rng(seed)
     ports = [(j, i) for i in range(n - 1, 0, -1) for j in range(i)]
     factors = [
-        TFactor(p, q, TParams(w, rng.uniform(-np.pi, np.pi)))
+        {"p": p + 1, "q": q + 1, "omega": w, "phi": rng.uniform(-np.pi, np.pi)}
         for (p, q), w in zip(ports, itertools.cycle(omegas))
     ]
-    return reconstruct(Factorization(n, tuple(factors), tuple(rng.uniform(-np.pi, np.pi, n))))
+    diagonal = rng.uniform(-np.pi, np.pi, n).tolist()
+    return reconstruct(factorization_from_payload({"dim": n, "factors": factors, "diagonal": diagonal}))
 
 
 SMALL_ANGLES = (1e-12, 1e-8, 1e-7)
@@ -156,8 +160,17 @@ COMPILE_INPUTS += [
 
 @pytest.mark.parametrize("u", COMPILE_INPUTS)
 def test_compiled_transfer_matches_source_unitary(u, tmp_path):
-    assert np.max(np.abs(reconstruct(decompose(u)) - u)) <= 1e-10
+    f = decompose(u)
+    assert np.max(np.abs(reconstruct(f) - u)) <= 1e-10
     assert_netlist_reproduces(u, tmp_path / "net.json")
+
+    # Each compiled phase is wrapped once, by the checker, to what one wrap gives;
+    # the final diag row keeps zeros in the bs-only columns.
+    angles = netlist_from_factorization(f).angles
+    k = f.p.size
+    assert angles[:k, 1].tobytes() == _wrap(-f.phi - np.pi / 2).tobytes()
+    assert angles[:k, 2].tobytes() == _wrap(f.phi + np.pi / 2).tobytes()
+    assert not angles[k:, 1:].any()
 
 
 @settings(max_examples=40, deadline=None)
@@ -214,8 +227,7 @@ def test_simulation_conserves_norm(seed):
 
 
 def test_text_schematic_layout():
-    nl = Netlist(dim=2, elements=(beam_splitter(p=0, q=1, T=0.5),
-                                  phase_shifter(1, np.pi)))
+    nl = net(2, {"kind": "bs", "p": 1, "q": 2, "T": 0.5}, {"kind": "ps", "p": 2, "phase": np.pi})
     text = render_schematic(nl, "text")
     lines = text.splitlines()
     assert lines[0] == "netlist dim=2 elements=2"
@@ -283,7 +295,7 @@ def test_omega_wins_over_transmission_in_a_file(tmp_path):
 
 
 def test_bs_element_stores_omega_and_derives_transmission():
-    e = beam_splitter(p=0, q=1, T=0.25)
+    (e,) = net(2, {"kind": "bs", "p": 1, "q": 2, "T": 0.25}).elements
     assert e.omega == pytest.approx(np.pi / 3)
     assert e.T == pytest.approx(0.25)
     assert Element(kind="bs", p=0, q=1, omega=-1e-13).omega == 0.0

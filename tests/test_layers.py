@@ -15,16 +15,11 @@ from hypothesis import given, settings, strategies as st
 from multiport import (
     BsParams,
     Element,
-    Factorization,
     Netlist,
-    TFactor,
-    TParams,
     decompose,
     load_factorization,
     load_netlist,
     netlist_from_factorization,
-    phase_layer,
-    phase_shifter,
     random_unitary,
     reconstruct,
     save_factorization,
@@ -33,7 +28,8 @@ from multiport import (
     t_matrix,
     transfer_matrix,
 )
-from multiport.devices import schedule
+from multiport.decompose import factorization_from_payload
+from multiport.devices import TWO, schedule
 from multiport.interferometer import netlist_from_payload, netlist_to_payload
 
 DIFF_TOL = 1e-14
@@ -77,9 +73,9 @@ def netlists(draw):
             p, q = sorted(draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True)))
             elements.append(Element("bs", p, q, draw(mixing), draw(phase), draw(phase), draw(phase)))
         elif kind == "ps":
-            elements.append(phase_shifter(draw(st.integers(0, dim - 1)), draw(phase)))
+            elements.append(Element("ps", draw(st.integers(0, dim - 1)), phase=draw(phase)))
         else:
-            elements.append(phase_layer(draw(st.lists(phase, min_size=dim, max_size=dim))))
+            elements.append(Element("diag", phases=draw(st.lists(phase, min_size=dim, max_size=dim))))
     return Netlist(dim=dim, elements=tuple(elements))
 
 
@@ -87,11 +83,12 @@ def netlists(draw):
 def factorizations(draw):
     dim = draw(st.integers(1, 6))
     ports = st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True)
-    factors = [
-        TFactor(*sorted(draw(ports)), TParams(draw(mixing), draw(phase)))
-        for _ in range(draw(st.integers(0, dim * (dim - 1) // 2)))
-    ]
-    return Factorization(dim, tuple(factors), tuple(draw(st.lists(phase, min_size=dim, max_size=dim))))
+    factors = []
+    for _ in range(draw(st.integers(0, dim * (dim - 1) // 2))):
+        p, q = sorted(draw(ports))
+        factors.append({"p": p + 1, "q": q + 1, "omega": draw(mixing), "phi": draw(phase)})
+    diagonal = draw(st.lists(phase, min_size=dim, max_size=dim))
+    return factorization_from_payload({"dim": dim, "factors": factors, "diagonal": diagonal})
 
 
 def near_permutation(rng, n, eps):
@@ -153,13 +150,16 @@ def test_one_checker_every_way_in(nl, data):
     for name in ("kind", "p", "q", "angles", "phases"):
         np.testing.assert_array_equal(getattr(back, name), getattr(nl, name))
     assert json.dumps(netlist_to_payload(back)) == json.dumps(payload)
+    # Only a bs reads columns 1-3 of ``angles``; the checker wraps them in every row.
+    for built in (nl, back):
+        assert not built.angles[built.kind != TWO, 1:].any()
 
     # The same bad element, in memory and in a file, at any place in the list.
     at = data.draw(st.integers(0, len(nl.elements)))
     dim = nl.dim
     bad = (
-        (phase_shifter(dim, 0.5), {"kind": "ps", "p": dim + 1, "phase": 0.5}),
-        (phase_layer((0.5,) * (dim + 1)), {"kind": "diag", "phases": [0.5] * (dim + 1)}),
+        (Element("ps", dim, phase=0.5), {"kind": "ps", "p": dim + 1, "phase": 0.5}),
+        (Element("diag", phases=(0.5,) * (dim + 1)), {"kind": "diag", "phases": [0.5] * (dim + 1)}),
     )
     for element, item in bad:
         with pytest.raises(ValueError):
@@ -182,15 +182,15 @@ def test_reference_cases_cover_mid_list_diag_and_width_one_layers():
         Element("bs", 0, 1, 0.3, 0.1, 0.2, 0.3),
         Element("bs", 0, 1, 1.1, -0.4, 0.5, 2.0),
         Element("bs", 2, 3, 0.7, 0.0, 1.0, -1.0),
-        phase_layer((0.1, 0.2, 0.3, 0.4)),
-        phase_shifter(3, 0.9),
+        Element("diag", phases=(0.1, 0.2, 0.3, 0.4)),
+        Element("ps", 3, phase=0.9),
         Element("bs", 0, 3, 0.2, 1.5, -2.5, 0.4),
         Element("bs", 1, 2, 1.4, 0.3, 0.3, 0.3),
     ))
     assert nl.depth == 5
     assert np.max(np.abs(transfer_matrix(nl) - sequential_transfer(nl))) <= DIFF_TOL
     for dim in (1, 2):
-        nl = Netlist(dim=dim, elements=(phase_layer((0.5,) * dim), phase_shifter(0, -1.0)))
+        nl = Netlist(dim=dim, elements=(Element("diag", phases=(0.5,) * dim), Element("ps", 0, phase=-1.0)))
         assert np.max(np.abs(transfer_matrix(nl) - sequential_transfer(nl))) <= DIFF_TOL
 
 
@@ -198,11 +198,12 @@ def long_range_factorization(n, seed):
     """A full triangle of cells (j, i), each sharing port i with its row: the older layout."""
     rng = np.random.default_rng(seed)
     factors = [
-        TFactor(j, i, TParams(rng.uniform(0.1, 1.4), rng.uniform(-np.pi, np.pi)))
+        {"p": j + 1, "q": i + 1, "omega": rng.uniform(0.1, 1.4), "phi": rng.uniform(-np.pi, np.pi)}
         for i in range(n - 1, 0, -1)
         for j in range(i)
     ]
-    return Factorization(n, tuple(factors), tuple(rng.uniform(-np.pi, np.pi, n)))
+    diagonal = rng.uniform(-np.pi, np.pi, n).tolist()
+    return factorization_from_payload({"dim": n, "factors": factors, "diagonal": diagonal})
 
 
 def test_long_range_transmission_file_still_loads(tmp_path):
