@@ -7,14 +7,14 @@ a structured report instead of raising, so impossible label structures can
 be handed to it and come back flagged.
 
 Every part of a graph is read-only.  A ``Ray`` built by a caller keeps its
-own read-only copy of its vector, and a ``Context`` stacks its rays once,
-into a read-only ``(k, n)`` matrix (None when its rays differ in size).  A
-context built from an observable by ``context_of`` stores one read-only
-matrix only, copied once from the rotation; its rays' vectors are views of
-that matrix's rows.  Links and
-validation read those matrices: one Gram matrix ``|X* Y^T|`` of two stacks
-picks the rays they share, and the validator's Gram matrix over the whole
-graph also gives each context's orthogonality.  The validator reads labels,
+own read-only copy of its vector, and a ``Context`` stacks its rays, which
+share one size n, once into a read-only ``(k, n)`` matrix.  A context built
+from an observable by ``context_of`` stores one read-only matrix only,
+copied once from the rotation; its rays' vectors are views of that matrix's
+rows.  Links and validation read those matrices: one Gram matrix
+``|X* Y^T|`` of two stacks of one size picks the rays they share, and the
+validator's Gram matrix over the contexts of the graph's dimension also
+gives each context's orthogonality.  The validator reads labels,
 shared-ray counts and links from one boolean matrix of the confirmed ray
 pairs, not from ray classes: equality within ``LINK_TOL`` is not transitive.
 A ``ContextGraph`` keeps the report of its first validation, so
@@ -86,26 +86,26 @@ class Ray:
 
 @dataclass(frozen=True, eq=False)
 class Context:
-    """A named tuple of rays, stacked once into ``matrix``.
+    """A named tuple of rays of one size n, stacked once into ``matrix``.
 
-    ``matrix`` is the read-only ``(k, n)`` array of the k rays when they all
-    have size n, and None when their sizes differ.  Orthonormality is
-    deliberately NOT enforced here -- building an invalid context must be
-    possible so that the validator can report it.
+    ``matrix`` is the read-only ``(k, n)`` array of the k rays; rays of
+    different sizes raise ValueError, as a ray of the wrong norm does.
+    Orthonormality is deliberately NOT enforced here -- building an invalid
+    context must be possible so that the validator can report it.
     """
 
     name: str
     rays: tuple[Ray, ...]
-    matrix: np.ndarray | None = field(init=False, repr=False)
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rays = tuple(self.rays)
         if not rays:
             raise ValueError("a context needs at least one ray")
-        matrix = None
-        if len({r.vector.size for r in rays}) == 1:
-            matrix = np.array([r.vector for r in rays])
-            matrix.flags.writeable = False
+        if len({r.vector.size for r in rays}) > 1:
+            raise ValueError(f"context {self.name!r} mixes ray dimensions")
+        matrix = np.array([r.vector for r in rays])
+        matrix.flags.writeable = False
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "matrix", matrix)
 
@@ -183,26 +183,12 @@ def _shared_rows(x: np.ndarray, y: np.ndarray | None, tol: float):
 def links_between(c1: Context, c2: Context, tol: float = LINK_TOL) -> list[tuple[Ray, Ray]]:
     """Pairs of rays shared (up to global phase) between two contexts, row-major.
 
-    Rays of different sizes never match, so contexts that mix ray sizes are
-    compared one size at a time.
+    Contexts of different dimensions share no ray.
     """
-    x, y = c1.matrix, c2.matrix
-    if x is not None and y is not None and x.shape[1] == y.shape[1]:
-        p, q, _ = _shared_rows(x, y, tol)
-        if not p.size:
-            return []
-        pairs = zip(p.tolist(), q.tolist())
-    else:
-        pairs = []
-        for n in {r.vector.size for r in c1.rays} & {r.vector.size for r in c2.rays}:
-            ix = [i for i, r in enumerate(c1.rays) if r.vector.size == n]
-            iy = [j for j, r in enumerate(c2.rays) if r.vector.size == n]
-            p, q, _ = _shared_rows(
-                np.array([c1.rays[i].vector for i in ix]), np.array([c2.rays[j].vector for j in iy]), tol
-            )
-            pairs += [(ix[a], iy[b]) for a, b in zip(p.tolist(), q.tolist())]
-        pairs.sort()
-    return [(c1.rays[i], c2.rays[j]) for i, j in pairs]
+    if c1.dim != c2.dim:
+        return []
+    p, q, _ = _shared_rows(c1.matrix, c2.matrix, tol)
+    return [(c1.rays[i], c2.rays[j]) for i, j in zip(p.tolist(), q.tolist())]
 
 
 @dataclass(frozen=True)
@@ -210,8 +196,8 @@ class ValidationReport:
     """Verdict, violations, and the graph's links.
 
     A link ``(a, b, i, j)``, a < b, says that ray i of context a equals ray j
-    of context b up to phase.  Links are sorted; contexts that mix ray sizes
-    have none.
+    of context b up to phase.  Links are sorted; contexts of another
+    dimension than the graph's have none.
     """
 
     ok: bool
@@ -222,15 +208,18 @@ class ValidationReport:
 def validate_context_graph(graph: ContextGraph) -> ValidationReport:
     """Structural checks on a context graph; never raises.
 
-    Flags: non-orthonormal or wrong-size contexts, contexts mixing ray sizes,
-    duplicate labels inside a context, one label naming two different rays,
-    two labels naming the same ray, and (dimension d >= 2) two distinct
-    contexts sharing more than d - 2 rays, which no two distinct orthonormal
-    bases can.  The graph keeps the report, and a second call returns it.
+    The graph's dimension d is that of its first context.  Flags: contexts
+    of another dimension (one line each, and nothing more about them),
+    non-orthonormal or wrong-size contexts, duplicate labels inside a
+    context, one label naming two different rays, two labels naming the same
+    ray, and (d >= 2) two distinct contexts sharing more than d - 2 rays,
+    which no two distinct orthonormal bases can.  The graph keeps the
+    report, and a second call returns it.
 
     Labels, shared-ray counts and links come from one same-ray matrix of
-    the ray pairs that the Gram pass confirms.  Rays a = b and b = c within
-    ``LINK_TOL`` need not give a = c, so pairs are judged, not ray classes.
+    the ray pairs that one Gram pass over the dimension-d contexts confirms.
+    Rays a = b and b = c within ``LINK_TOL`` need not give a = c, so pairs
+    are judged, not ray classes.
     """
     if graph._report is None:
         object.__setattr__(graph, "_report", _validate(graph))
@@ -242,50 +231,39 @@ def _validate(graph: ContextGraph) -> ValidationReport:
     contexts = graph.contexts
     dim = contexts[0].dim
 
-    # One Gram pass per ray size over the stacked matrices of the contexts
-    # with one ray size; row r of a stack is ray pos[r] of context own[r].
-    # The pass over size ``dim`` holds every context that is checked
-    # further, so its Gram matrix and pairs serve below.
-    by_size: dict[int, list[int]] = {}
-    for k, ctx in enumerate(contexts):
-        if ctx.matrix is not None:
-            by_size.setdefault(ctx.matrix.shape[1], []).append(k)
-    links = [np.empty((4, 0), dtype=np.intp)]  # rows a, b, i, j: ray i of context a is ray j of b
-    bad, clashes = {}, []  # from the pass over size ``dim``
-    for n, ks in by_size.items():
-        own = np.array([k for k in ks for _ in contexts[k].rays])
-        pos = np.array([i for k in ks for i in range(len(contexts[k].rays))])
-        p, q, gram = _shared_rows(np.concatenate([contexts[k].matrix for k in ks]), None, LINK_TOL)
-        links.append(np.array([own[p], own[q], pos[p], pos[q]])[:, own[p] != own[q]])
-        if n != dim:
-            continue
-        rays = [r for k in ks for r in contexts[k].rays]
-        names = [contexts[k].name for k in own.tolist()]
-        upper = ~np.tri(len(rays), dtype=bool)  # the row pairs a < b
-        for a, b in zip(*((gram > _ORTHO_TOL) & (own[:, None] == own) & upper).nonzero()):
-            bad.setdefault(own[a], []).append(
-                f"context {names[a]!r}: rays {rays[a].label!r} and {rays[b].label!r} are not "
-                f"orthogonal (|<.,.>| = {gram[a, b]:.3e})"
-            )
-        # A label names one ray and a ray carries one label: a pair clashes
-        # where its labels agree and its rays do not, or the other way round.
-        same = np.zeros((len(rays), len(rays)), dtype=bool)
-        same[p, q] = True
-        ids: dict[str, int] = {}
-        lab = np.array([ids.setdefault(r.label, len(ids)) for r in rays])
-        for a, b in zip(*((same != (lab[:, None] == lab)) & upper).nonzero()):
-            la, lb, na, nb = rays[a].label, rays[b].label, names[a], names[b]
-            clashes.append(f"labels {la!r} ({na!r}) and {lb!r} ({nb!r}) name the same ray" if same[a, b]
-                           else f"label {la!r} names different rays in contexts {na!r} and {nb!r}")
+    # One Gram pass over the stacked matrices of the contexts of dimension
+    # ``dim``; row r of the stack is ray pos[r] of context own[r].
+    ks = [k for k, ctx in enumerate(contexts) if ctx.dim == dim]
+    own = np.array([k for k in ks for _ in contexts[k].rays])
+    pos = np.array([i for k in ks for i in range(len(contexts[k].rays))])
+    p, q, gram = _shared_rows(np.concatenate([contexts[k].matrix for k in ks]), None, LINK_TOL)
+    links = np.array([own[p], own[q], pos[p], pos[q]])[:, own[p] != own[q]]  # ray i of context a is ray j of b
+    rays = [r for k in ks for r in contexts[k].rays]
+    names = [contexts[k].name for k in own.tolist()]
+    upper = ~np.tri(len(rays), dtype=bool)  # the row pairs a < b
+    bad = {}
+    for a, b in zip(*((gram > _ORTHO_TOL) & (own[:, None] == own) & upper).nonzero()):
+        bad.setdefault(own[a], []).append(
+            f"context {names[a]!r}: rays {rays[a].label!r} and {rays[b].label!r} are not "
+            f"orthogonal (|<.,.>| = {gram[a, b]:.3e})"
+        )
+    # A label names one ray and a ray carries one label: a pair clashes
+    # where its labels agree and its rays do not, or the other way round.
+    same = np.zeros((len(rays), len(rays)), dtype=bool)
+    same[p, q] = True
+    ids: dict[str, int] = {}
+    lab = np.array([ids.setdefault(r.label, len(ids)) for r in rays])
+    clashes = []
+    for a, b in zip(*((same != (lab[:, None] == lab)) & upper).nonzero()):
+        la, lb, na, nb = rays[a].label, rays[b].label, names[a], names[b]
+        clashes.append(f"labels {la!r} ({na!r}) and {lb!r} ({nb!r}) name the same ray" if same[a, b]
+                       else f"label {la!r} names different rays in contexts {na!r} and {nb!r}")
 
     for k, ctx in enumerate(contexts):
         if ctx.dim != dim:
             violations.append(
                 f"context {ctx.name!r} lives in dimension {ctx.dim}, expected {dim}"
             )
-            continue
-        if ctx.matrix is None:
-            violations.append(f"context {ctx.name!r} mixes ray dimensions")
             continue
         if len(ctx.rays) != dim:
             violations.append(
@@ -299,7 +277,6 @@ def _validate(graph: ContextGraph) -> ValidationReport:
             seen.add(r.label)
     violations += clashes
 
-    links = np.concatenate(links, axis=1)
     if dim >= 2:
         c = len(contexts)
         shared = np.bincount(links[0] * c + links[1], minlength=c * c).reshape(c, c)
@@ -356,13 +333,6 @@ def _dot_text(graph: ContextGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tripod_rays():
-    e1 = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
-    e2 = np.array([0.0, 1.0, 0.0], dtype=np.complex128)
-    e3 = np.array([0.0, 0.0, 1.0], dtype=np.complex128)
-    return e1, e2, e3
-
-
 BUILTIN_GRAPHS = ("two-tripods", "three-chain")
 
 
@@ -376,7 +346,7 @@ def builtin_graph(name: str) -> ContextGraph:
       rays x3 and x1 respectively (7 distinct rays in total).
     """
     h = np.sqrt(0.5)
-    e1, e2, e3 = _tripod_rays()
+    e1, e2, e3 = np.eye(3, dtype=np.complex128)
     d = np.array([h, h, 0.0], dtype=np.complex128)
     k = np.array([-h, h, 0.0], dtype=np.complex128)
     if name == "two-tripods":

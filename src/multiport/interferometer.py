@@ -77,13 +77,14 @@ __all__ = [
 ]
 
 _KINDS = ("bs", "ps", "diag")
-_NEEDS = {"bs": ("p", "q", "omega"), "ps": ("p", "phase"), "diag": ("phases",)}
+# The fields each kind takes; those that default to None are required.
+_TAKES = {"bs": ("p", "q", "omega", "alpha", "beta", "phi"), "ps": ("p", "phase"), "diag": ("phases",)}
 _HALF_PI = 0.5 * math.pi
 
 
 @dataclass(frozen=True)
 class Element:
-    """One optical element; which fields apply depends on ``kind``."""
+    """One optical element; ``kind`` decides which fields it takes, and the rest stay at their defaults."""
 
     kind: str
     p: Optional[int] = None
@@ -96,11 +97,15 @@ class Element:
     phases: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        need = _NEEDS.get(self.kind)
-        if need is None:
+        takes = _TAKES.get(self.kind)
+        if takes is None:
             raise ValueError(f"unknown element kind {self.kind!r}; expected one of {_KINDS}")
+        need = [name for name in takes if _UNSET[name] is None]
         if any(getattr(self, name) is None for name in need):
             raise ValueError(f"{self.kind} element needs {', '.join(need)}")
+        extra = [name for name, unset in _UNSET.items() if name not in takes and getattr(self, name) != unset]
+        if extra:
+            raise ValueError(f"{self.kind} element takes no {', '.join(extra)}")
         if self.kind == "diag":
             object.__setattr__(self, "phases", tuple(float(x) for x in self.phases))
             dim = len(self.phases) or 1
@@ -115,6 +120,9 @@ class Element:
     def T(self) -> Optional[float]:
         """Transmission cos^2(omega) of a ``bs``; None for the other kinds."""
         return None if self.omega is None else transmission(self.omega)
+
+
+_UNSET = {f.name: f.default for f in fields(Element)[1:]}  # every field but kind, at its default
 
 
 @dataclass(frozen=True)
@@ -189,8 +197,7 @@ class Netlist(_Mesh):
                 yield {"kind": "diag", "phases": seq(next(rows))}
 
     def _build_view(self) -> tuple:
-        unset = {f.name: f.default for f in fields(Element)}
-        return tuple(_trusted(Element, **{**unset, **item}) for item in self._walk(0, tuple))
+        return tuple(_trusted(Element, **{**_UNSET, **item}) for item in self._walk(0, tuple))
 
     def _coefficients(self) -> tuple:
         omega, alpha, beta, phi = self.angles.T

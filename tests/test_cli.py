@@ -181,6 +181,18 @@ def test_predict_qutrit_distribution(capsys):
     assert lines[0] == "port 1 0" and lines[3] == "port 4 0"
 
 
+@pytest.mark.parametrize("obs, message", [
+    ("id| ", "empty observable segment"),
+    ("id;plane=1,2|id", "'id' cannot be combined with other fields"),
+    ("plane|id", "malformed observable field 'plane'"),
+    ("plane=1|id", "plane wants two comma-separated axes, got '1'"),
+    ("plane=a,b|id", "plane wants two comma-separated axes, got 'a,b'"),
+])
+def test_predict_malformed_obs_spec_exits_4(capsys, obs, message):
+    code, out, err = run(capsys, "predict", "--state", "bell4", "--obs", obs)
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
 def test_predict_ordering_aliases(capsys):
     _, rev, _ = run(capsys, "predict", "--state", "bell4",
                     "--obs", "plane=1,2;theta=0|id", "--ordering", "reversed")

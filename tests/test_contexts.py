@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from itertools import combinations
 
@@ -23,6 +24,7 @@ from multiport import (
     validate_context_graph,
 )
 import multiport.contexts
+from multiport.cli import main
 from multiport.contexts import LINK_TOL, MAX_FILE_RAYS, context_graph_from_payload
 from multiport.numerics import dyadic, equal_up_to_global_phase, rows_equal_up_to_global_phase
 
@@ -226,13 +228,42 @@ def test_graph_file_round_trip(tmp_path):
     assert validate_context_graph(back).ok
 
 
-def test_context_mixing_ray_sizes_is_one_violation():
-    mixed = Context(name="x", rays=(Ray("a", [1.0, 0.0, 0.0]), Ray("b", [0.0, 1.0])))
+def test_context_mixing_ray_sizes_raises(tmp_path, monkeypatch, capsys):
+    with pytest.raises(ValueError, match="^context 'x' mixes ray dimensions$"):
+        Context(name="x", rays=(Ray("a", [1.0, 0.0, 0.0]), Ray("b", [0.0, 1.0])))
+    # A graph file holding such a context fails as it is read, before any validation.
+    ray = lambda label, v: {"label": label, "vector": [[x, 0.0] for x in v]}
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps([
+        {"name": "D", "rays": [ray("a", [1, 0, 0]), ray("b", [0, 1, 0]), ray("c", [0, 0, 1])]},
+        {"name": "E", "rays": [ray("a", [1, 0, 0]), ray("q", [0, 1])]},
+    ]))
+    for report_json in ("0", "1"):
+        monkeypatch.setenv("REPORT_JSON", report_json)
+        assert main(["contexts", "--graph", f"@{path}"]) == 4
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: context 'E' mixes ray dimensions\n")
+    # Contexts of different dimensions share no ray, and no Gram pass asks.
+    monkeypatch.setattr(multiport.contexts, "_shared_rows", None)
+    qubit = Context(name="Q", rays=(Ray("a", [1.0, 0.0]), Ray("b", [0.0, 1.0])))
     e_ctx = tripod("E", E3, ["a", "c", "d"])
-    for contexts in ((mixed,), (e_ctx, mixed), (mixed, e_ctx)):
-        report = validate_context_graph(ContextGraph(contexts=contexts))
-        assert report.violations == ("context 'x' mixes ray dimensions",)
-    assert links_between(e_ctx, mixed) == [(e_ctx.rays[0], mixed.rays[0])]
+    assert links_between(e_ctx, qubit) == [] and links_between(qubit, e_ctx) == []
+
+
+def test_contexts_of_another_dimension_get_one_line_each():
+    # Two dimension-4 contexts sharing two rays, which dimension 4 allows,
+    # in a dimension-3 graph: flagged once each, with no links and no share line.
+    e4 = np.eye(4)
+    x = Context(name="X", rays=tuple(Ray(l, v) for l, v in zip("abcd", e4)))
+    y = Context(name="Y", rays=(Ray("a", e4[0]), Ray("b", e4[1]),
+                                Ray("e", (e4[2] + e4[3]) / np.sqrt(2)), Ray("f", (e4[2] - e4[3]) / np.sqrt(2))))
+    g = ContextGraph(contexts=(tripod("E", E3, ["x1", "x2", "x3"]), x, y))
+    report = validate_context_graph(g)
+    assert report.violations == (
+        "context 'X' lives in dimension 4, expected 3",
+        "context 'Y' lives in dimension 4, expected 3",
+    )
+    assert report.links == ()
 
 
 def test_report_lists_links_in_context_pair_order():
@@ -352,8 +383,8 @@ def reference_violations(graph):
                     f"labels {ra.label!r} ({na!r}) and {rb.label!r} ({nb!r}) name the same ray")
     if dim >= 2:
         most = "one" if dim == 3 else str(dim - 2)
-        for a in range(len(contexts)):
-            for b in range(a + 1, len(contexts)):
+        for a, b in combinations(range(len(contexts)), 2):
+            if contexts[a].dim == contexts[b].dim == dim:
                 shared = reference_links(contexts[a], contexts[b])
                 if len(shared) > dim - 2:
                     violations.append(
@@ -364,15 +395,17 @@ def reference_violations(graph):
 
 
 def reference_link_indices(graph):
-    """Every link ``(a, b, i, j)`` from the pairwise loop over context pairs."""
+    """Every link ``(a, b, i, j)`` from the pairwise loop over pairs of
+    contexts of the graph's dimension."""
     ctxs = graph.contexts
+    dim = ctxs[0].dim
     return tuple(
         (a, b, i, j)
         for a, b in combinations(range(len(ctxs)), 2)
+        if ctxs[a].dim == ctxs[b].dim == dim
         for i, r1 in enumerate(ctxs[a].rays)
         for j, r2 in enumerate(ctxs[b].rays)
-        if r1.vector.size == r2.vector.size
-        and equal_up_to_global_phase(r1.vector, r2.vector, LINK_TOL)
+        if equal_up_to_global_phase(r1.vector, r2.vector, LINK_TOL)
     )
 
 
@@ -530,7 +563,7 @@ KICKS = (None, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0)  # multiples of LINK_TOL, None fo
 def linked_graphs(draw):
     """Contexts of dimension 1..4 drawn from a small pool of rays, each ray
     repeated with a random phase and optionally kicked by a multiple of
-    LINK_TOL; some contexts mix in a ray of another size."""
+    LINK_TOL."""
     d = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -551,8 +584,6 @@ def linked_graphs(draw):
                 w -= v * np.vdot(v, w)
                 v = v + kick * LINK_TOL * w / np.max(np.abs(w))
             rays.append(Ray(f"r{k}.{i}", v))
-        if draw(st.booleans()) and draw(st.booleans()):
-            rays.insert(draw(st.integers(0, len(rays))), Ray(f"m{k}", unit(d + 1)))
         contexts.append(Context(name=f"C{k}", rays=tuple(rays)))
     return ContextGraph(contexts=tuple(contexts))
 
@@ -560,17 +591,10 @@ def linked_graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(linked_graphs())
 def test_stacked_links_match_the_pairwise_loop(g):
-    ctxs = g.contexts
-    for c in ctxs:
-        assert (c.matrix is None) == (len({r.vector.size for r in c.rays}) > 1)
-    for c1 in ctxs:
-        for c2 in ctxs:
+    for c1 in g.contexts:
+        for c2 in g.contexts:
             assert links_between(c1, c2) == reference_links(c1, c2)
-    # The report lists the links of the contexts with one ray size only.
-    assert validate_context_graph(g).links == tuple(
-        link for link in reference_link_indices(g)
-        if ctxs[link[0]].matrix is not None and ctxs[link[1]].matrix is not None
-    )
+    assert validate_context_graph(g).links == reference_link_indices(g)
 
 
 def test_kicks_just_inside_and_outside_link_tol():
@@ -581,24 +605,6 @@ def test_kicks_just_inside_and_outside_link_tol():
         other = tripod("B", [np.exp(0.3j) * (v + kick * LINK_TOL * w)], ["v"])
         assert bool(links_between(base, other)) is linked
         assert bool(validate_context_graph(ContextGraph(contexts=(base, other))).links) is linked
-
-
-def test_context_mixing_ray_sizes_takes_the_general_path(monkeypatch):
-    calls = Counter()
-    gram = multiport.contexts._shared_rows
-
-    def counted(x, y, tol):
-        calls[x.shape[1]] += 1
-        return gram(x, y, tol)
-
-    monkeypatch.setattr(multiport.contexts, "_shared_rows", counted)
-    mixed = Context(name="M", rays=(Ray("x", E3[0]), Ray("q", [1.0, 0.0]), Ray("z", 1j * E3[2])))
-    plain = tripod("P", E3, ["x", "y", "z"])
-    assert mixed.matrix is None
-    assert [(a.label, b.label) for a, b in links_between(mixed, plain)] == [("x", "x"), ("z", "z")]
-    assert calls == {3: 1}  # one Gram pass, over the one size both contexts hold
-    assert links_between(plain, plain)[0][0] is plain.rays[0]
-    assert calls == {3: 2}  # the plain pair's fast path: its one stacked pass
 
 
 # --- read-only rays and contexts, and the stored report -------------------

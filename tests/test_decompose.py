@@ -20,7 +20,7 @@ from multiport import (
     transfer_matrix,
     unitarity_deviation,
 )
-from multiport.decompose import factorization_from_payload, solve_t_layer
+from multiport.decompose import factorization_from_payload, factorization_to_payload, solve_t_layer
 
 import refdata
 
@@ -190,6 +190,15 @@ def test_factorization_file_round_trip(tmp_path):
     np.testing.assert_array_equal(np.asarray(g.diagonal),
                                   np.asarray(f.diagonal))
     assert np.max(np.abs(reconstruct(g) - u)) <= 1e-10
+
+
+def test_factorization_equality_compares_every_column():
+    f = decompose(random_unitary(4, 7))
+    payload = factorization_to_payload(f)
+    assert factorization_from_payload(payload) == f
+    payload["factors"][2]["phi"] += 1e-3
+    assert factorization_from_payload(payload) != f
+    assert (f == "x") is False
 
 
 def test_factorization_file_ports_are_one_based(tmp_path):

@@ -52,6 +52,17 @@ def test_element_validation():
         Netlist(dim=3, elements=(Element(kind="diag", phases=(0.0, 0.0)),))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(kind="ps", p=0, phase=0.1, alpha=7.0, q=5), "ps element takes no q, alpha"),
+    (dict(kind="diag", phases=(0.1,), p=3, omega=9.0), "diag element takes no p, omega"),
+    (dict(kind="bs", p=0, q=1, omega=0.5, phase=0.2), "bs element takes no phase"),
+    (dict(kind="bs", p=0, q=1, omega=0.5, phases=(0.0, 0.0)), "bs element takes no phases"),
+])
+def test_element_rejects_fields_its_kind_ignores(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Element(**kwargs)
+
+
 def test_phase_shifter_matrix():
     m = transfer_matrix(net(2, {"kind": "ps", "p": 1, "phase": np.pi}))
     np.testing.assert_allclose(m, np.diag([-1.0, 1.0]), atol=1e-15)
@@ -241,13 +252,18 @@ def test_empty_schematic_is_header_only():
     assert text == "netlist dim=4 elements=0\n"
 
 
-def test_svg_schematic():
+def test_svg_schematic(tmp_path):
     nl = netlist_from_factorization(decompose(refdata.U2_4))
     svg = render_schematic(nl, "svg")
     assert svg.startswith("<svg")
     assert svg == render_schematic(nl, "svg")
     with pytest.raises(ValueError):
         render_schematic(nl, "png")
+    # A phase shifter read from a file is one box on its port, labelled with its phase.
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"dim": 2, "elements": [{"kind": "ps", "p": 2, "phase": 0.5}]}))
+    svg = render_schematic(load_netlist(path), "svg")
+    assert '<rect x="60" y="80" width="20" height="20"/>\n<text x="60" y="74">ph=0.5</text>' in svg
 
 
 def test_netlist_file_round_trip(tmp_path):
