@@ -129,7 +129,7 @@ def _cmd_decompose(args) -> int:
     net = netlist_from_factorization(fact)
     save_netlist(args.outfile, net)
 
-    err = float(np.max(np.abs(transfer_matrix(net) - u)))
+    err = float(np.max(np.abs(transfer_matrix(load_netlist(args.outfile)) - u)))  # of the file, as the user gets it
     lines = [
         f"dim {fact.dim}",
         f"factors {fact.p.size}",

@@ -7,7 +7,9 @@ triangle of Reck et al. (PRL 73, 58 (1994)), of optical depth 2n-3, and
 each of its layers is solved as one array step and applied as one batched
 2x2 product.
 ``reconstruct`` rebuilds the original unitary from the factors, layer by
-layer, so ``reconstruct(decompose(u)) == u`` to float accuracy.
+layer, so ``reconstruct(decompose(u)) == u`` to float accuracy.  When no cell
+is skipped, ``decompose`` hands its layers and their row runs to the
+factorization, and ``reconstruct`` and the compiled netlist replay them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .devices import (
     _checked_phases,
     _stack,
     _t_block,
-    _trusted,
     apply_layers,
 )
 from .numerics import as_matrix, read_json, unitarity_deviation, write_json
@@ -98,10 +99,16 @@ class Factorization(_Mesh):
         }
 
     def _build_view(self) -> tuple:
-        return tuple(
-            _trusted(TFactor, p=p, q=q, params=_trusted(TParams, omega=w, phi=f))
-            for p, q, w, f in zip(self.p.tolist(), self.q.tolist(), self.omega.tolist(), self.phi.tolist())
-        )
+        # Each cell's fields are already checked, so TParams.__post_init__ is skipped.
+        new, put = object.__new__, object.__setattr__
+        cells = []
+        for p, q, w, f in zip(self.p.tolist(), self.q.tolist(), self.omega.tolist(), self.phi.tolist()):
+            params = new(TParams)
+            put(params, "__dict__", {"omega": w, "phi": f})
+            cell = new(TFactor)
+            put(cell, "__dict__", {"p": p, "q": q, "params": params})
+            cells.append(cell)
+        return tuple(cells)
 
     def __eq__(self, other):
         if not isinstance(other, Factorization):
@@ -117,7 +124,7 @@ class Factorization(_Mesh):
     def _coefficients(self) -> tuple:
         """Every factor's adjoint block, so the layers apply T_1^dagger first."""
         (a, b), (c, d) = _t_block(self.omega, self.phi)  # a, b are real
-        return ((a, c.conj()), (b, d.conj())), None
+        return ((a, c.conj()), (b, d.conj())), ()
 
 
 def solve_t_layer(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,8 +153,11 @@ def decompose(u) -> Factorization:
     ``solve_t_layer``; its cells are applied as one batched 2x2 product and
     listed layer by layer, by column within a layer.
     Entries already below 1e-14 are skipped, so the factor count is at most
-    n(n-1)/2.  Permutation-like inputs are no longer short: each 1 walks to
-    the diagonal through swap cells (omega = 0), one per inversion, so the
+    n(n-1)/2.  If none is skipped, these layers are the ASAP schedule, and
+    the factorization keeps them with each layer's row run and cell range;
+    otherwise later cells may move up, and the schedule is left to first
+    use.  Permutation-like inputs are no longer short: each 1 walks to the
+    diagonal through swap cells (omega = 0), one per inversion, so the
     reversal of n ports takes all n(n-1)/2.  The input's Gram deviation, and
     after elimination the residual's distance from a unit-modulus diagonal,
     must stay within ``UNITARY_TOL``.
@@ -170,6 +180,7 @@ def decompose(u) -> Factorization:
     flat = w.reshape(-1)
     step = 2 * n + 1  # from w[j, i] to w[j+2, i+1], the next cell of a layer
     cells = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
+    plan, k = [], 0  # each layer's (where, lo, hi), while no cell is skipped
     for layer in range(1, 2 * n - 2):
         top = (layer - 1) // 2  # the layer's cells sit in rows i = n-1-r, r <= top
         count = top - max(0, layer - n + 1) + 1
@@ -178,13 +189,17 @@ def decompose(u) -> Factorization:
         stop = at + count * step
         keep, omega, phi = solve_t_layer(flat[at:stop:step], flat[at + n : stop + n : step])
         kept = np.count_nonzero(keep)
-        if not kept:
-            continue
         j = np.arange(j0, j0 + 2 * count, 2)
         where = slice(j0, j0 + 2 * count)
         if kept < count:
+            plan = None
+            if not kept:
+                continue
             j, omega, phi = j[keep], omega[keep], phi[keep]
             where = np.stack((j, j + 1), axis=1)
+        elif plan is not None:
+            plan.append((where, k, k + count))
+            k += count
         (a, b), (c, d) = _t_block(omega, phi)
         _apply_pairs(w, where, _stack(((a, c), (b, d))))  # columns times T: rows times T^T
         cells.append((j, omega, phi))
@@ -194,7 +209,9 @@ def decompose(u) -> Factorization:
     if drift > UNITARY_TOL:
         raise ValueError(f"elimination left a residual {drift:.3e} off a unit-modulus diagonal")
     p, omega, phi = (np.concatenate(x) for x in zip(*cells))
-    return Factorization._from_columns(n, p, p + 1, omega, phi, -angles)
+    # Skipped cells let later cells move up, so only a full triangle hands over its layers.
+    layers = None if plan is None else np.repeat(np.arange(1, len(plan) + 1), [hi - lo for _, lo, hi in plan])
+    return Factorization._from_columns(n, p, p + 1, omega, phi, -angles, layers=layers, plan=plan)
 
 
 def reconstruct(f: Factorization) -> np.ndarray:

@@ -158,8 +158,15 @@ def t_matrix(p: TParams) -> np.ndarray:
 
 
 def _stack(block) -> np.ndarray:
-    """A (w, 2, 2) coefficient stack, as a view, from nested pairs of length-w arrays."""
-    return np.array(block, dtype=np.complex128).transpose(2, 0, 1)
+    """A (w, 2, 2) coefficient stack from nested pairs of length-w arrays.
+
+    It is C-contiguous, as is every run of it: the batched product picks its
+    inner loop, and so its last bits, by the layout of the coefficients.
+    """
+    (a, b), (c, d) = block
+    out = np.empty((len(a), 2, 2), dtype=np.complex128)
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = a, b, c, d
+    return out
 
 
 def _apply_pairs(rows: np.ndarray, where, coef: np.ndarray) -> None:
@@ -264,22 +271,30 @@ class _Mesh:
     element constructor.  It names its read-only tuple view in ``_view`` and
     builds it in ``_build_view``;
     ``_coefficients()`` returns the ``block`` and ``rows`` that ``layer_steps``
-    takes.
+    takes.  A mesh built with a plan (see ``_from_columns``) replays it and
+    never runs ``schedule`` or ``layer_steps``.
     """
 
     _view = ""
+    _plan = None
 
     @classmethod
-    def _from_columns(cls, dim, *columns, layers=None):
+    def _from_columns(cls, dim, *columns, layers=None, plan=None):
         """An instance straight from its columns, without the tuple view.
 
         ``layers``, when given, is the elements' ASAP schedule, already known.
+        ``plan``, when given, is the steps of that schedule as ``(where, lo,
+        hi)``: cells ``lo`` to ``hi - 1``, in list order, on the rows
+        ``where``.  A planned mesh lists its cells layer by layer and ends in
+        its ALL elements, so it is applied without ``layer_steps``.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "dim", int(dim))
         obj._store_columns(*columns)
         if layers is not None:
             object.__setattr__(obj, "_layer_of", layers)
+        if plan is not None:
+            object.__setattr__(obj, "_plan", plan)
         return obj
 
     def _store_columns(self, *columns) -> None:
@@ -310,9 +325,14 @@ class _Mesh:
         return self._once("_layer_of", lambda: schedule(self.kind, self.p, self.q, self.dim))
 
     def _steps(self) -> list:
-        return self._once(
-            "_layer_steps", lambda: layer_steps(self._layers(), self.kind, self.p, self.q, *self._coefficients())
-        )
+        return self._once("_layer_steps", self._build_steps)
+
+    def _build_steps(self) -> list:
+        block, rows = self._coefficients()
+        if self._plan is None:
+            return layer_steps(self._layers(), self.kind, self.p, self.q, block, rows)
+        coef = _stack(block)
+        return [(where, coef[lo:hi]) for where, lo, hi in self._plan] + [(slice(None), row[:, None]) for row in rows]
 
 
 def _trusted(cls, **fields):

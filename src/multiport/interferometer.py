@@ -15,9 +15,10 @@ a netlist layer by layer: an ASAP schedule, built once per netlist, puts
 each element one layer above the latest element on its ports (a ``diag`` is
 a barrier), and each layer is one array step, a batched 2x2 product for a
 layer of ``bs`` cells.  A compiled netlist takes its factorization's
-schedule.  A mesh compiled from a dense n x n unitary has depth 2n-2: 2n-3
-layers of cells plus the final ``diag``.  Ports are 0-based in memory and
-1-based in files and rendered output.  Netlist files write ``"omega"``; a
+schedule, and its layer plan where ``decompose`` kept every cell.  A mesh
+compiled from a dense n x n unitary has depth 2n-2: 2n-3 layers of cells
+plus the final ``diag``.  Ports are 0-based in memory and 1-based in files
+and rendered output.  Netlist files write ``"omega"``; a
 ``bs`` with only ``"T"`` (the older format) is still read.
 
 A netlist is compiled from a factorization or read from a file, whose
@@ -234,7 +235,8 @@ def netlist_from_factorization(f: Factorization) -> Netlist:
     The diag layer is always present, even when every phase is zero, so the
     layout is uniform.  The whole compile is array arithmetic on the
     factorization's columns, and the netlist takes the factorization's ASAP
-    schedule with the diag as one more layer rather than scheduling again.
+    schedule and layer plan, with the diag as one more layer, rather than
+    scheduling again.
     """
     k = f.p.size
     angles = np.empty((k + 1, 4))
@@ -246,7 +248,7 @@ def netlist_from_factorization(f: Factorization) -> Netlist:
     kind = np.append(np.full(k, TWO), ALL)
     return Netlist._from_columns(
         f.dim, kind, np.append(f.p, -1), np.append(f.q, -1), angles, -f.diagonal[None, :],
-        layers=np.append(f._layers(), f.depth + 1),
+        layers=np.append(f._layers(), f.depth + 1), plan=f._plan,
     )
 
 

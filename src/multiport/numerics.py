@@ -185,8 +185,10 @@ def rows_equal_up_to_global_phase(a: ArrayLike, b: ArrayLike, tol: float = 1e-10
 
 
 def write_json(path, payload) -> None:
+    """Write ``payload`` as one JSON text; ``json.dumps`` runs json's C encoder, ``json.dump`` does not."""
+    text = json.dumps(payload)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(text)
 
 
 def read_json(path, from_payload):

@@ -17,14 +17,17 @@ from multiport import (
     load_netlist,
     predict_ports,
     qutrit2_singlet,
+    random_unitary,
     save_context_graph,
     save_matrix,
     transfer_matrix,
 )
 import multiport.cli
 import multiport.contexts
+import multiport.numerics
 from multiport.cli import main
 from multiport.contexts import Context, ContextGraph, Ray
+from multiport.interferometer import netlist_to_payload
 from multiport.observables import ObservableSpec
 
 import refdata
@@ -86,6 +89,22 @@ def test_decompose_near_permutation_reports_error_within_contract(tmp_path, caps
     line = out.splitlines()[3]
     assert line.startswith("max reconstruction error ")
     assert float(line.split()[-1]) <= 1e-10
+
+
+def test_decompose_reports_the_error_of_the_file_it_wrote(tmp_path, capsys, monkeypatch):
+    def save_with_one_alpha_off(path, nl):
+        payload = netlist_to_payload(nl)
+        payload["elements"][0]["alpha"] += 1e-6
+        multiport.numerics.write_json(path, payload)
+
+    monkeypatch.setattr(multiport.cli, "save_netlist", save_with_one_alpha_off)
+    mat = tmp_path / "u.json"
+    save_matrix(mat, random_unitary(6, 21))
+    code, out, _ = run(capsys, "decompose", "--in", str(mat), "--out", str(tmp_path / "net.json"))
+    assert code == 0
+    line = out.splitlines()[3]
+    assert line.startswith("max reconstruction error ")
+    assert float(line.split()[-1]) > 1e-7
 
 
 def test_decompose_missing_file_exits_3(tmp_path, capsys):

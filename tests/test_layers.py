@@ -28,8 +28,9 @@ from multiport import (
     t_matrix,
     transfer_matrix,
 )
-from multiport.decompose import factorization_from_payload
-from multiport.devices import TWO, schedule
+from multiport import devices
+from multiport.decompose import factorization_from_payload, factorization_to_payload
+from multiport.devices import TWO, layer_steps, schedule
 from multiport.interferometer import netlist_from_payload, netlist_to_payload
 
 DIFF_TOL = 1e-14
@@ -279,3 +280,72 @@ def test_reversal_needs_a_swap_per_inversion():
     # Neighbouring swaps move a port one place at a time, so the reversal of
     # n ports takes all n(n-1)/2 cells.
     assert len(decompose(np.eye(8)[::-1]).factors) == 28
+
+
+def _same_step(got, want):
+    (where, coef), (want_where, want_coef) = got, want
+    if isinstance(want_where, slice):
+        assert where == want_where
+    else:
+        np.testing.assert_array_equal(where, want_where)
+    assert coef.flags.c_contiguous == want_coef.flags.c_contiguous
+    assert np.array_equal(coef, want_coef)
+
+
+# Inputs on which decompose keeps every cell, so the factorization carries its plan.
+PLANNED_INPUTS = [
+    pytest.param(random_unitary(1, 3), id="n1"),
+    pytest.param(random_unitary(2, 3), id="n2"),
+    pytest.param(random_unitary(9, 4), id="dense9"),
+    pytest.param(random_unitary(16, 5), id="dense16"),
+    pytest.param(near_permutation(np.random.default_rng(6), 12, 1e-3), id="near-permutation"),
+    pytest.param(near_permutation(np.random.default_rng(8), 10, 1e-9), id="near-permutation-1e-9"),
+]
+
+
+@pytest.mark.parametrize("u", PLANNED_INPUTS)
+def test_plan_replays_the_layer_steps_bitwise(u):
+    f = decompose(u)
+    assert f._plan is not None
+    np.testing.assert_array_equal(f._layers(), schedule(f.kind, f.p, f.q, f.dim))
+    nl = netlist_from_factorization(f)
+    for mesh in (f, nl):
+        layers = schedule(mesh.kind, mesh.p, mesh.q, mesh.dim)
+        want = layer_steps(layers, mesh.kind, mesh.p, mesh.q, *mesh._coefficients())
+        assert len(mesh._steps()) == len(want)
+        for got, step in zip(mesh._steps(), want):
+            _same_step(got, step)
+    # The same mesh through its files takes the fallback, and gives the same bits.
+    f_file = factorization_from_payload(json.loads(json.dumps(factorization_to_payload(f))))
+    nl_file = netlist_from_payload(json.loads(json.dumps(netlist_to_payload(nl))))
+    assert f_file._plan is None and nl_file._plan is None
+    v = np.random.default_rng(1).standard_normal(f.dim) + 0j
+    assert np.array_equal(reconstruct(f), reconstruct(f_file))
+    for compiled in (netlist_from_factorization(f_file), nl_file):
+        assert np.array_equal(transfer_matrix(nl), transfer_matrix(compiled))
+        assert np.array_equal(simulate(nl, v), simulate(compiled, v))
+        assert np.array_equal(simulate(nl, np.eye(f.dim)[:, 0]), simulate(compiled, np.eye(f.dim)[:, 0]))
+
+
+def test_planned_mesh_is_never_scheduled_and_a_skipped_cell_drops_the_plan(monkeypatch):
+    calls = []
+    for name in ("schedule", "layer_steps"):
+        real = getattr(devices, name)
+        monkeypatch.setattr(devices, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    u = random_unitary(12, 9)
+    f = decompose(u)
+    nl = netlist_from_factorization(f)
+    assert (f.depth, nl.depth) == (21, 22)
+    assert np.max(np.abs(reconstruct(f) - u)) <= 1e-10
+    assert np.max(np.abs(transfer_matrix(nl) - u)) <= 1e-10
+    assert np.max(np.abs(simulate(nl, np.eye(12)[:, 3]) - u[:, 3])) <= 1e-10
+    assert calls == []
+    # A block-diagonal input skips the cells between its blocks: its ASAP
+    # schedule is shallower than the nominal layers, so it carries no plan.
+    f = decompose(block_diagonal(np.random.default_rng(7), [3, 4, 2, 3]))
+    nl = netlist_from_factorization(f)
+    assert f._plan is None and nl._plan is None
+    assert f.depth < 2 * f.dim - 3
+    reconstruct(f)
+    transfer_matrix(nl)
+    assert calls == ["schedule", "layer_steps", "layer_steps"]

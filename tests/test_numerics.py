@@ -15,7 +15,10 @@ from multiport import (
     save_matrix,
     unitarity_deviation,
 )
-from multiport.numerics import rows_equal_up_to_global_phase
+from multiport.contexts import builtin_graph, context_graph_to_payload, save_context_graph
+from multiport.decompose import decompose, factorization_to_payload, save_factorization
+from multiport.interferometer import netlist_from_factorization, netlist_to_payload, save_netlist
+from multiport.numerics import matrix_to_payload, rows_equal_up_to_global_phase
 
 import refdata
 
@@ -206,3 +209,20 @@ def test_matrix_file_round_trip_is_bitwise(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["rows"] == 4 and payload["cols"] == 4
     assert len(payload["entries"]) == 16
+
+
+def test_every_file_writer_writes_the_json_dumps_text(tmp_path):
+    u = random_unitary(5, 11)
+    f = decompose(u)
+    nl = netlist_from_factorization(f)
+    graph = builtin_graph("three-chain")
+    cases = [
+        (save_matrix, u, matrix_to_payload),
+        (save_factorization, f, factorization_to_payload),
+        (save_netlist, nl, netlist_to_payload),
+        (save_context_graph, graph, context_graph_to_payload),
+    ]
+    for save, obj, to_payload in cases:
+        path = tmp_path / f"{save.__name__}.json"
+        save(path, obj)
+        assert path.read_bytes() == json.dumps(to_payload(obj)).encode()
