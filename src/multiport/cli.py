@@ -163,10 +163,12 @@ def _cmd_prepare(args) -> int:
     u = preparation_unitary(psi, args.port - 1)
     fact = decompose(u)
     net = netlist_from_factorization(fact)
+    if args.outfile:
+        save_netlist(args.outfile, net)
 
     basis_in = np.zeros(n, dtype=np.complex128)
     basis_in[args.port - 1] = 1.0
-    out = simulate(net, basis_in)
+    out = simulate(load_netlist(args.outfile) if args.outfile else net, basis_in)  # the file, when one is written
     ok = equal_up_to_global_phase(out, psi, 1e-10)
 
     lines = [
@@ -187,7 +189,6 @@ def _cmd_prepare(args) -> int:
         _emit(record, lines)
         raise ValueError("netlist does not reproduce the target state")
     if args.outfile:
-        save_netlist(args.outfile, net)
         lines.append(f"wrote {args.outfile}")
         record["netlist"] = args.outfile
     if args.unitary:

@@ -15,6 +15,7 @@ factorization, and ``reconstruct`` and the compiled netlist replay them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +67,10 @@ class Factorization(_Mesh):
     ``D = diag(exp(i * diagonal))``; equivalently
     ``u == D^dagger @ T_K^dagger @ ... @ T_1^dagger``.
 
-    A factorization comes from ``decompose`` or from its file format
-    (``factorization_from_payload``), both of which give valid ports.  The
-    cells are held as read-only arrays ``p``, ``q`` (ports), ``omega`` and
-    ``phi``, checked once per array; ``diagonal`` is an array too.
+    A factorization comes from ``decompose``, which builds valid cells, or
+    from its file format, whose reader ``factorization_from_payload`` checks
+    every rule once.  The cells are held as read-only arrays ``p``, ``q``
+    (ports), ``omega`` and ``phi``; ``diagonal`` is an array too.
     ``factors`` is a read-only tuple view of ``TFactor`` objects, built on
     first use.
     """
@@ -78,25 +79,6 @@ class Factorization(_Mesh):
     factors: tuple[TFactor, ...]
     diagonal: np.ndarray
     _view = "factors"
-
-    @staticmethod
-    def _check(dim, p, q, omega, phi, diagonal) -> dict:
-        """Check the cell arrays once, with the rules of TParams; the ports arrive valid."""
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        diagonal = np.array(diagonal, dtype=float).reshape(-1)
-        if diagonal.size != dim:
-            raise ValueError(f"diagonal length {diagonal.size} does not match dim {dim}")
-        limit = dim * (dim - 1) // 2
-        if p.size > limit:
-            raise ValueError(f"{p.size} factors exceed the n(n-1)/2 = {limit} bound")
-        return {
-            "p": p,
-            "q": q,
-            "omega": _checked_mixings(np.asarray(omega, dtype=float), math.pi / 2),
-            "phi": _checked_phases(np.asarray(phi, dtype=float)),
-            "diagonal": diagonal,
-        }
 
     def _build_view(self) -> tuple:
         # Each cell's fields are already checked, so TParams.__post_init__ is skipped.
@@ -211,7 +193,9 @@ def decompose(u) -> Factorization:
     p, omega, phi = (np.concatenate(x) for x in zip(*cells))
     # Skipped cells let later cells move up, so only a full triangle hands over its layers.
     layers = None if plan is None else np.repeat(np.arange(1, len(plan) + 1), [hi - lo for _, lo, hi in plan])
-    return Factorization._from_columns(n, p, p + 1, omega, phi, -angles, layers=layers, plan=plan)
+    return Factorization._from_columns(
+        n, p=p, q=p + 1, omega=omega, phi=phi, diagonal=-angles, layers=layers, plan=plan
+    )
 
 
 def reconstruct(f: Factorization) -> np.ndarray:
@@ -240,19 +224,29 @@ def factorization_to_payload(f: Factorization) -> dict:
 
 
 def factorization_from_payload(payload: dict) -> Factorization:
-    dim = int(payload["dim"])
+    """A factorization from its file, every rule checked once, with the angle rules of ``TParams``."""
+    dim = operator.index(payload["dim"])
     if dim > MAX_FILE_DIM:
         raise ValueError(f"factorization dim {dim} exceeds the limit of {MAX_FILE_DIM}")
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
     items = payload["factors"]
-    p = np.array([int(item["p"]) for item in items], dtype=np.int64)
-    q = np.array([int(item["q"]) for item in items], dtype=np.int64)
+    limit = dim * (dim - 1) // 2
+    if len(items) > limit:
+        raise ValueError(f"{len(items)} factors exceed the n(n-1)/2 = {limit} bound")
+    p = np.array([operator.index(item["p"]) for item in items], dtype=np.int64)
+    q = np.array([operator.index(item["q"]) for item in items], dtype=np.int64)
     bad = np.flatnonzero((p < 1) | (p >= q) | (q > dim))
     if bad.size:
         raise ValueError(f"file ports ({p[bad[0]]}, {q[bad[0]]}) invalid for dim {dim} (1-based)")
-    omega = np.array([float(item["omega"]) for item in items])
-    phi = np.array([float(item["phi"]) for item in items])
-    diagonal = [float(d) for d in payload["diagonal"]]
-    return Factorization._from_columns(dim, p - 1, q - 1, omega, phi, diagonal)
+    omega = _checked_mixings(np.array([float(item["omega"]) for item in items]), math.pi / 2)
+    phi = _checked_phases(np.array([float(item["phi"]) for item in items]))
+    diagonal = np.array([float(d) for d in payload["diagonal"]])
+    if diagonal.size != dim:
+        raise ValueError(f"diagonal length {diagonal.size} does not match dim {dim}")
+    if not np.isfinite(diagonal).all():
+        raise ValueError("diagonal phase must be finite")  # not wrapped: decompose may store -pi
+    return Factorization._from_columns(dim, p=p - 1, q=q - 1, omega=omega, phi=phi, diagonal=diagonal)
 
 
 def save_factorization(path, f: Factorization) -> None:

@@ -265,22 +265,22 @@ class _Mesh:
     """What ``Factorization`` and ``Netlist`` share, each part built once per object.
 
     A subclass is a frozen dataclass holding ``dim`` and the columns ``kind``,
-    ``p`` and ``q``.  Its one checker, ``_check(dim, *columns)``, returns the
-    checked columns by name, and every way in stores them through it:
-    ``_from_columns`` for the producers and file readers, and ``Netlist``'s
-    element constructor.  It names its read-only tuple view in ``_view`` and
-    builds it in ``_build_view``;
-    ``_coefficients()`` returns the ``block`` and ``rows`` that ``layer_steps``
-    takes.  A mesh built with a plan (see ``_from_columns``) replays it and
-    never runs ``schedule`` or ``layer_steps``.
+    ``p`` and ``q``.  ``_from_columns`` stores valid columns and checks none:
+    the rules belong to the readers of outside input, and the producers
+    (``decompose``, ``netlist_from_factorization``) build valid columns.  A
+    subclass names its read-only tuple view in ``_view`` and builds it in
+    ``_build_view``; ``_coefficients()`` returns the ``block`` and ``rows``
+    that ``layer_steps`` takes.  A mesh built with a plan (see
+    ``_from_columns``) replays it and never runs ``schedule`` or
+    ``layer_steps``.
     """
 
     _view = ""
     _plan = None
 
     @classmethod
-    def _from_columns(cls, dim, *columns, layers=None, plan=None):
-        """An instance straight from its columns, without the tuple view.
+    def _from_columns(cls, dim, layers=None, plan=None, **columns):
+        """An instance straight from valid columns, stored as read-only arrays, without the tuple view.
 
         ``layers``, when given, is the elements' ASAP schedule, already known.
         ``plan``, when given, is the steps of that schedule as ``(where, lo,
@@ -289,19 +289,15 @@ class _Mesh:
         its ALL elements, so it is applied without ``layer_steps``.
         """
         obj = object.__new__(cls)
-        object.__setattr__(obj, "dim", int(dim))
-        obj._store_columns(*columns)
+        object.__setattr__(obj, "dim", dim)
+        for name, arr in columns.items():
+            arr.flags.writeable = False
+            object.__setattr__(obj, name, arr)
         if layers is not None:
             object.__setattr__(obj, "_layer_of", layers)
         if plan is not None:
             object.__setattr__(obj, "_plan", plan)
         return obj
-
-    def _store_columns(self, *columns) -> None:
-        for name, arr in self._check(self.dim, *columns).items():
-            arr = np.array(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     def _once(self, name: str, build):
         try:

@@ -23,25 +23,30 @@ and rendered output.  Netlist files write ``"omega"``; a
 
 A netlist is compiled from a factorization or read from a file, whose
 format is the one documented way to write a mesh by hand; ``Netlist(dim,
-elements)`` also builds one from ``Element`` objects.  Every way in ends in
-one set of rules, checked once per column array by ``Netlist._check``:
+elements)`` also builds one from ``Element`` objects.  Outside input is
+checked once, where it enters: the file reader, ``Netlist(dim, elements)``
+and ``Element`` all read their element records through ``_read_elements``,
+which holds every rule:
 
 * ``dim >= 1``;
-* a ``bs`` has ports 0 <= p < q < dim, a ``ps`` has 0 <= p < dim;
+* a ``bs`` has ports p < q and a ``ps`` a port p, each an integer in the
+  reader's range (0 to dim - 1 in memory, 1 to dim in a file);
 * a ``bs`` mixing angle lies in [0, pi/2] (an overshoot within 1e-12 is
   clamped);
 * every angle and phase is finite;
 * a ``bs``'s phases alpha, beta, phi are wrapped to (-pi, pi], as in
-  ``BsParams``, once, by the checker;
-* each ``diag`` has exactly one row of ``dim`` phases.
+  ``BsParams``;
+* each ``diag`` has exactly ``dim`` phases.
 
 An ``Element`` obeys the same rules as the one element of the smallest
-netlist that holds it.
+netlist that holds it.  ``netlist_from_factorization`` builds valid columns
+from a factorization, whose own reader checked it, and checks nothing again.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -112,7 +117,7 @@ class Element:
             dim = len(self.phases) or 1
         else:
             dim = max(self.p, self.q or 0) + 1
-        angles = Netlist._check(dim, *_element_columns((self,)))["angles"]
+        angles = _read_elements(dim, [vars(self)], 0)["angles"]
         if self.kind == "bs":
             for name, value in zip(("omega", "alpha", "beta", "phi"), angles[0].tolist()):
                 object.__setattr__(self, name, value)
@@ -130,11 +135,11 @@ _UNSET = {f.name: f.default for f in fields(Element)[1:]}  # every field but kin
 class Netlist(_Mesh):
     """Ordered elements on ``dim`` ports; all port references must fit.
 
-    The elements are held as read-only columns, checked once per array by
-    ``_check``: ``kind`` (0 bs, 1 ps, 2 diag), ports ``p`` and ``q`` (-1 where a
-    kind has none), ``angles`` (omega, alpha, beta, phi of a bs; a ps's phase in
-    the first column) and ``phases``, one row per diag element in order.
-    ``elements`` is a tuple view of ``Element`` objects, built on first use.
+    The elements are held as read-only columns: ``kind`` (0 bs, 1 ps, 2
+    diag), ports ``p`` and ``q`` (-1 where a kind has none), ``angles``
+    (omega, alpha, beta, phi of a bs; a ps's phase in the first column) and
+    ``phases``, one row per diag element in order.  ``elements`` is a tuple
+    view of ``Element`` objects, built on first use.
     """
 
     dim: int
@@ -143,40 +148,8 @@ class Netlist(_Mesh):
 
     def __post_init__(self):
         els = tuple(self.elements)
-        object.__setattr__(self, "elements", els)
-        self._store_columns(*_element_columns(els))
-
-    @staticmethod
-    def _check(dim, kind, p, q, angles, rows) -> dict:
-        """The netlist rules, each checked once per array; every constructor ends here.
-
-        ``rows`` holds the phases of each diag element in order; their
-        lengths are checked before they become one array.
-        """
-        if dim < 1:
-            raise ValueError("netlist dimension must be >= 1")
-        kind, p, q = (np.asarray(x, dtype=np.int64) for x in (kind, p, q))
-        two = kind == TWO
-        bad = np.flatnonzero(two & ((p < 0) | (p >= q) | (q >= dim)))
-        if bad.size:
-            raise ValueError(f"bs ports ({p[bad[0]]}, {q[bad[0]]}) invalid for dim {dim}: need 0 <= p < q < dim")
-        bad = np.flatnonzero((kind == ONE) & ((p < 0) | (p >= dim)))
-        if bad.size:
-            raise ValueError(f"ps port {p[bad[0]]} out of range for dim {dim}")
-        n_diag = int(np.count_nonzero(kind == ALL))
-        if len(rows) != n_diag:
-            raise ValueError(f"{len(rows)} phase rows for {n_diag} diag elements")
-        for row in rows:
-            if len(row) != dim:
-                raise ValueError(f"diag element has {len(row)} phases, expected {dim}")
-        angles = np.array(angles, dtype=float).reshape(-1, 4)
-        angles[two, 0] = _checked_mixings(angles[two, 0], _HALF_PI)
-        phases = np.array(rows, dtype=float).reshape(-1, dim)
-        if not (np.isfinite(angles).all() and np.isfinite(phases).all()):
-            raise ValueError("angles and phases must be finite")
-        # A bs's alpha, beta, phi, as BsParams keeps them; every producer leaves zeros there in other rows.
-        angles[:, 1:] = _wrap(angles[:, 1:])
-        return {"kind": kind, "p": p, "q": q, "angles": angles, "phases": phases}
+        read = Netlist._from_columns(self.dim, **_read_elements(self.dim, [vars(e) for e in els], 0))
+        vars(self).update(vars(read), elements=els)
 
     def _walk(self, base: int, seq):
         """The fields of each element in order, ports offset by ``base``, each diag row a ``seq``.
@@ -207,21 +180,54 @@ class Netlist(_Mesh):
         return ((a, b), (c, d)), np.exp(1j * self.phases)
 
 
-def _element_columns(els) -> tuple:
-    """The raw columns ``Netlist._check`` takes, read off a sequence of elements."""
-    return (
-        [_KINDS.index(e.kind) for e in els],
-        [-1 if e.kind == "diag" else e.p for e in els],
-        [e.q if e.kind == "bs" else -1 for e in els],
-        [_angle_row(e) for e in els],
-        [e.phases for e in els if e.kind == "diag"],
-    )
+def _read_elements(dim: int, items, base: int) -> dict:
+    """The checked columns of a ``Netlist`` from its element records, ports counted from ``base``.
 
-
-def _angle_row(e: Element) -> tuple:
-    if e.kind == "bs":
-        return (e.omega, e.alpha, e.beta, e.phi)
-    return (e.phase if e.kind == "ps" else 0.0, 0.0, 0.0, 0.0)
+    The one reader of element records, and the one place their rules are
+    checked: ``items`` are the dicts of a netlist file (``base`` 1) or the
+    fields of ``Element`` objects (``base`` 0).  A ``bs`` record without
+    ``"omega"`` takes it from ``"T"``; absent phases are 0.
+    """
+    if dim < 1:
+        raise ValueError("netlist dimension must be >= 1")
+    index = operator.index
+    ports, angles, rows = [], [], []  # kind, p, q of each element, flat; its angles; each diag's phases
+    for item in items:
+        k = item.get("kind")
+        if k == "bs":
+            ports += (TWO, index(item["p"]), index(item["q"]))
+            omega = item["omega"] if "omega" in item else omega_from_transmission(item["T"])
+            get = item.get
+            angles.append((float(omega), float(get("alpha", 0.0)), float(get("beta", 0.0)), float(get("phi", 0.0))))
+        elif k == "ps":
+            ports += (ONE, index(item["p"]), base - 1)
+            angles.append((float(item["phase"]), 0.0, 0.0, 0.0))
+        elif k == "diag":
+            row = [float(x) for x in item["phases"]]
+            if len(row) != dim:
+                raise ValueError(f"diag element has {len(row)} phases, expected {dim}")
+            rows.append(row)
+            ports += (ALL, base - 1, base - 1)
+            angles.append((0.0, 0.0, 0.0, 0.0))
+        else:
+            raise ValueError(f"unknown element kind {k!r}; expected one of {_KINDS}")
+    ports = np.array(ports, dtype=np.int64).reshape(-1, 3)
+    kind, p, q = ports[:, 0].copy(), ports[:, 1] - base, ports[:, 2] - base
+    two = kind == TWO
+    bad = np.flatnonzero(two & ((p < 0) | (p >= q) | (q >= dim)))
+    if bad.size:
+        p0, q0 = p[bad[0]] + base, q[bad[0]] + base
+        raise ValueError(f"bs ports ({p0}, {q0}) invalid for dim {dim}: need {base} <= p < q <= {dim - 1 + base}")
+    bad = np.flatnonzero((kind == ONE) & ((p < 0) | (p >= dim)))
+    if bad.size:
+        raise ValueError(f"ps port {p[bad[0]] + base} invalid for dim {dim}: need {base} <= p <= {dim - 1 + base}")
+    angles = np.array(angles, dtype=float).reshape(-1, 4)
+    angles[two, 0] = _checked_mixings(angles[two, 0], _HALF_PI)
+    phases = np.array(rows, dtype=float).reshape(-1, dim)
+    if not (np.isfinite(angles).all() and np.isfinite(phases).all()):
+        raise ValueError("angles and phases must be finite")
+    angles[:, 1:] = _wrap(angles[:, 1:])  # a bs's alpha, beta, phi, as BsParams keeps them; zeros elsewhere
+    return {"kind": kind, "p": p, "q": q, "angles": angles, "phases": phases}
 
 
 def netlist_from_factorization(f: Factorization) -> Netlist:
@@ -234,21 +240,20 @@ def netlist_from_factorization(f: Factorization) -> Netlist:
     final diag layer realizes the adjoint of the factorization's diagonal.
     The diag layer is always present, even when every phase is zero, so the
     layout is uniform.  The whole compile is array arithmetic on the
-    factorization's columns, and the netlist takes the factorization's ASAP
-    schedule and layer plan, with the diag as one more layer, rather than
-    scheduling again.
+    factorization's columns, which are valid, so nothing is checked again;
+    the netlist takes the factorization's ASAP schedule and layer plan, with
+    the diag as one more layer, rather than scheduling again.
     """
     k = f.p.size
     angles = np.empty((k + 1, 4))
     angles[:k, 0] = f.omega
-    angles[:k, 1] = -f.phi - _HALF_PI  # wrapped by Netlist._check
-    angles[:k, 2] = f.phi + _HALF_PI
+    angles[:k, 1] = _wrap(-f.phi - _HALF_PI)
+    angles[:k, 2] = _wrap(f.phi + _HALF_PI)
     angles[:k, 3] = -_HALF_PI
     angles[k] = 0.0
-    kind = np.append(np.full(k, TWO), ALL)
     return Netlist._from_columns(
-        f.dim, kind, np.append(f.p, -1), np.append(f.q, -1), angles, -f.diagonal[None, :],
-        layers=np.append(f._layers(), f.depth + 1), plan=f._plan,
+        f.dim, kind=np.append(np.full(k, TWO), ALL), p=np.append(f.p, -1), q=np.append(f.q, -1), angles=angles,
+        phases=-f.diagonal[None, :], layers=np.append(f._layers(), f.depth + 1), plan=f._plan,
     )
 
 
@@ -345,35 +350,11 @@ def netlist_to_payload(nl: Netlist) -> dict:
 
 
 def netlist_from_payload(payload: dict) -> Netlist:
-    """The columns of a netlist file, checked by ``Netlist._check``; no ``Element`` is built."""
-    dim = int(payload["dim"])
+    """The columns of a netlist file, read and checked by ``_read_elements``; no ``Element`` is built."""
+    dim = operator.index(payload["dim"])
     if dim > MAX_FILE_DIM:
         raise ValueError(f"netlist dim {dim} exceeds the limit of {MAX_FILE_DIM}")
-    kind, ps, qs, angles, rows = [], [], [], [], []
-    for item in payload["elements"]:
-        k = item.get("kind")
-        p = q = 0
-        if k == "bs":
-            p, q = int(item["p"]), int(item["q"])
-            if not 1 <= p < q <= dim:
-                raise ValueError(f"file bs ports ({p}, {q}) invalid for dim {dim} (1-based)")
-            omega = item["omega"] if "omega" in item else omega_from_transmission(item["T"])
-            get = item.get
-            angles.append((float(omega), float(get("alpha", 0.0)), float(get("beta", 0.0)), float(get("phi", 0.0))))
-        elif k == "ps":
-            p = int(item["p"])
-            if not 1 <= p <= dim:
-                raise ValueError(f"file ps port {p} invalid for dim {dim} (1-based)")
-            angles.append((float(item["phase"]), 0.0, 0.0, 0.0))
-        elif k == "diag":
-            rows.append([float(x) for x in item["phases"]])
-            angles.append((0.0, 0.0, 0.0, 0.0))
-        else:
-            raise ValueError(f"unknown element kind {k!r} in netlist file")
-        kind.append(_KINDS.index(k))
-        ps.append(p - 1)
-        qs.append(q - 1)
-    return Netlist._from_columns(dim, kind, ps, qs, angles, rows)
+    return Netlist._from_columns(dim, **_read_elements(dim, payload["elements"], 1))
 
 
 def save_netlist(path, nl: Netlist) -> None:

@@ -7,6 +7,7 @@ The implementations favor readability over sparsity tricks.
 from __future__ import annotations
 
 import json
+import operator
 from typing import Union
 
 import numpy as np
@@ -221,8 +222,8 @@ def matrix_to_payload(m: ArrayLike) -> dict:
 
 
 def matrix_from_payload(payload: dict) -> np.ndarray:
-    rows = int(payload["rows"])
-    cols = int(payload["cols"])
+    rows = operator.index(payload["rows"])
+    cols = operator.index(payload["cols"])
     entries = payload["entries"]
     if rows < 1 or cols < 1:
         raise ValueError("matrix payload must have positive shape")

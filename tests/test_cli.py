@@ -107,6 +107,14 @@ def test_decompose_reports_the_error_of_the_file_it_wrote(tmp_path, capsys, monk
     assert float(line.split()[-1]) > 1e-7
 
 
+def test_decompose_matrix_file_with_fractional_shape_exits_4(tmp_path, capsys):
+    mat = tmp_path / "u.json"
+    mat.write_text(json.dumps({"rows": 1.5, "cols": 1.5, "entries": [[1.0, 0.0]]}))
+    code, out, err = run(capsys, "decompose", "--in", str(mat), "--out", str(tmp_path / "net.json"))
+    assert (code, out) == (4, "")
+    assert "error:" in err
+
+
 def test_decompose_missing_file_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "decompose", "--in", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "net.json"))
@@ -135,6 +143,19 @@ def test_prepare_bell_state(tmp_path, capsys):
     u = load_matrix(uni)
     assert np.max(np.abs(u[:, 0] - bell_state(4))) <= 1e-12
     assert net.exists()
+
+
+def test_prepare_checks_the_file_it_wrote(tmp_path, capsys, monkeypatch):
+    def save_with_one_alpha_off(path, nl):
+        payload = netlist_to_payload(nl)
+        payload["elements"][-2]["alpha"] += 1e-6  # the last bs: the state is spread over its ports by then
+        multiport.numerics.write_json(path, payload)
+
+    monkeypatch.setattr(multiport.cli, "save_netlist", save_with_one_alpha_off)
+    code, out, err = run(capsys, "prepare", "--state", "qutrit2-singlet", "--out", str(tmp_path / "net.json"))
+    assert code == 4
+    assert "prepared state matches target up to global phase: NO" in out
+    assert "error:" in err
 
 
 def test_prepare_other_port(tmp_path, capsys):
@@ -281,6 +302,9 @@ GARBLED_NETLISTS = {
     "dim-zero": {"dim": 0, "elements": []},
     "bs-on-port-0": {"dim": 2, "elements": [{"kind": "bs", "p": 0, "q": 1, "omega": 0.5}]},
     "unknown-kind": {"dim": 2, "elements": [{"kind": "mirror", "p": 1}]},
+    "fractional-dim-and-ports": {"dim": 2.9, "elements": [{"kind": "bs", "p": 1.9, "q": 2.2, "omega": 0.5}]},
+    "fractional-dim": {"dim": 2.0, "elements": []},
+    "string-port": {"dim": 2, "elements": [{"kind": "ps", "p": "2", "phase": 0.1}]},
 }
 
 

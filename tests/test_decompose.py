@@ -176,6 +176,20 @@ def test_factorization_file_dim_is_capped(tmp_path):
         load_factorization(path)
 
 
+@pytest.mark.parametrize("change", [
+    pytest.param({"diagonal": [float("nan"), 0.0]}, id="nan-diagonal"),
+    pytest.param({"diagonal": [0.0, float("inf")]}, id="infinite-diagonal"),
+    pytest.param({"dim": 2.0}, id="fractional-dim"),
+    pytest.param({"factors": [{"p": 1.0, "q": 2, "omega": 0.1, "phi": 0.0}]}, id="fractional-port"),
+    pytest.param({"factors": [{"p": 1, "q": "2", "omega": 0.1, "phi": 0.0}]}, id="string-port"),
+])
+def test_garbled_factorization_file_is_a_value_error(tmp_path, change):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"dim": 2, "factors": [], "diagonal": [0.0, 0.0], **change}))
+    with pytest.raises(ValueError):
+        load_factorization(path)
+
+
 def test_factorization_file_round_trip(tmp_path):
     u = random_unitary(4, 7)
     f = decompose(u)

@@ -21,9 +21,9 @@ from multiport import (
     unitarity_deviation,
     wrap_angle,
 )
-from multiport.decompose import Factorization
+from multiport.decompose import factorization_from_payload
 from multiport.devices import TWO, _apply_pairs, _stack, _wrap, apply_layers, layer_steps
-from multiport.interferometer import Netlist
+from multiport.interferometer import netlist_from_payload
 
 import refdata
 
@@ -89,14 +89,16 @@ def _accepted_or_message(build):
 @settings(max_examples=300, deadline=None)
 @given(EDGE_ANGLES, EDGE_ANGLES)
 def test_scalar_angle_rules_agree_with_the_cell_arrays(omega, phase):
-    """TParams and BsParams accept, reject, clamp and wrap exactly as a one-cell mesh does."""
+    """TParams and BsParams accept, reject, clamp and wrap exactly as a one-cell mesh file does."""
 
     def cell():
-        f = Factorization._from_columns(2, np.array([0]), np.array([1]), np.array([omega]), np.array([phase]), [0, 0])
+        factor = {"p": 1, "q": 2, "omega": omega, "phi": phase}
+        f = factorization_from_payload({"dim": 2, "factors": [factor], "diagonal": [0.0, 0.0]})
         return f.omega[0], f.phi[0]
 
     def netlist_cell():
-        return Netlist._from_columns(2, [0], [0], [1], [(omega, phase, -phase, 7.0 * phase)], []).angles[0]
+        bs = {"kind": "bs", "p": 1, "q": 2, "omega": omega, "alpha": phase, "beta": -phase, "phi": 7.0 * phase}
+        return netlist_from_payload({"dim": 2, "elements": [bs]}).angles[0]
 
     want = _accepted_or_message(cell)
     assert _accepted_or_message(lambda: astuple(TParams(omega, phase))) == want

@@ -175,7 +175,7 @@ def test_compiled_transfer_matches_source_unitary(u, tmp_path):
     assert np.max(np.abs(reconstruct(f) - u)) <= 1e-10
     assert_netlist_reproduces(u, tmp_path / "net.json")
 
-    # Each compiled phase is wrapped once, by the checker, to what one wrap gives;
+    # Each compiled phase is wrapped once, by the compiler, to what one wrap gives;
     # the final diag row keeps zeros in the bs-only columns.
     angles = netlist_from_factorization(f).angles
     k = f.p.size

@@ -28,7 +28,7 @@ from multiport import (
     t_matrix,
     transfer_matrix,
 )
-from multiport import devices
+from multiport import devices, interferometer
 from multiport.decompose import factorization_from_payload, factorization_to_payload
 from multiport.devices import TWO, layer_steps, schedule
 from multiport.interferometer import netlist_from_payload, netlist_to_payload
@@ -151,7 +151,7 @@ def test_one_checker_every_way_in(nl, data):
     for name in ("kind", "p", "q", "angles", "phases"):
         np.testing.assert_array_equal(getattr(back, name), getattr(nl, name))
     assert json.dumps(netlist_to_payload(back)) == json.dumps(payload)
-    # Only a bs reads columns 1-3 of ``angles``; the checker wraps them in every row.
+    # Only a bs reads columns 1-3 of ``angles``; the reader wraps them in every row.
     for built in (nl, back):
         assert not built.angles[built.kind != TWO, 1:].any()
 
@@ -159,12 +159,14 @@ def test_one_checker_every_way_in(nl, data):
     at = data.draw(st.integers(0, len(nl.elements)))
     dim = nl.dim
     bad = (
-        (Element("ps", dim, phase=0.5), {"kind": "ps", "p": dim + 1, "phase": 0.5}),
-        (Element("diag", phases=(0.5,) * (dim + 1)), {"kind": "diag", "phases": [0.5] * (dim + 1)}),
+        (dict(kind="ps", p=dim, phase=0.5), {"kind": "ps", "p": dim + 1, "phase": 0.5}),
+        (dict(kind="diag", phases=(0.5,) * (dim + 1)), {"kind": "diag", "phases": [0.5] * (dim + 1)}),
+        (dict(kind="bs", p=0, q=dim, omega=0.5), {"kind": "bs", "p": 1, "q": dim + 1, "omega": 0.5}),
+        (dict(kind="bs", p=0, q=1, omega=2.0), {"kind": "bs", "p": 1, "q": 2, "omega": 2.0}),
     )
-    for element, item in bad:
+    for kwargs, item in bad:
         with pytest.raises(ValueError):
-            Netlist(dim, nl.elements[:at] + (element,) + nl.elements[at:])
+            Netlist(dim, nl.elements[:at] + (Element(**kwargs),) + nl.elements[at:])
         items = payload["elements"][:at] + [item] + payload["elements"][at:]
         with pytest.raises(ValueError):
             netlist_from_payload({"dim": dim, "elements": items})
@@ -349,3 +351,19 @@ def test_planned_mesh_is_never_scheduled_and_a_skipped_cell_drops_the_plan(monke
     reconstruct(f)
     transfer_matrix(nl)
     assert calls == ["schedule", "layer_steps", "layer_steps"]
+
+
+def test_compile_checks_no_mixing_angle_again(monkeypatch):
+    # decompose and the factorization file reader hand over valid cells; only a netlist reader checks.
+    fs = [decompose(random_unitary(12, 9)), decompose(block_diagonal(np.random.default_rng(7), [3, 4, 2, 3]))]
+    fs.append(factorization_from_payload(json.loads(json.dumps(factorization_to_payload(fs[0])))))
+
+    def refuse(*args):
+        raise AssertionError("a mixing angle was checked again")
+
+    monkeypatch.setattr(interferometer, "_checked_mixings", refuse)
+    for f in fs:
+        nl = netlist_from_factorization(f)
+        assert np.max(np.abs(transfer_matrix(nl) - reconstruct(f))) <= DIFF_TOL
+    with pytest.raises(AssertionError, match="checked again"):
+        netlist_from_payload(netlist_to_payload(nl))
