@@ -7,7 +7,9 @@ REPORT_JSON=1 switches stdout to single JSON records (full float precision).
 
 Exit codes: 0 success, 2 usage error, 3 missing or unreadable input file,
 bytes that are not UTF-8 or text that is not JSON, 4 numeric/validation
-failure or a file of the wrong structure.
+failure or a file of the wrong structure.  Under REPORT_JSON=1 an exit 3
+or 4 ends stdout with one failure record: verb, exit code, error class and
+message.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .contexts import (
     load_context_graph,
     validate_context_graph,
 )
-from .decompose import decompose, save_factorization
+from .decompose import decompose, load_factorization, reconstruct, save_factorization
 from .interferometer import (
     _fmt,
     load_netlist,
@@ -42,6 +44,8 @@ from .states import STATE_NAMES, preparation_unitary, resolve_state
 
 __all__ = ["main", "build_parser"]
 
+FILE_TOL = 1e-10  # how far a written netlist or factorization may miss the matrix it stands for
+
 
 def _json_mode() -> bool:
     return os.environ.get("REPORT_JSON") == "1"
@@ -53,6 +57,13 @@ def _emit(record: dict, lines: list[str]) -> None:
     else:
         for line in lines:
             print(line)
+
+
+def _emit_failure(verb: str, code: int, error_class: str, message: str) -> None:
+    """The failure record of an exit 3 or 4, in JSON mode only: the text mode has its stderr line."""
+    if _json_mode():
+        record = {"verb": verb, "exit_code": code, "error_class": error_class, "message": message}
+        print(json.dumps(record, sort_keys=True))
 
 
 _STATE_HELP = f"state spec: {', '.join(STATE_NAMES)}, or @file.json"
@@ -145,10 +156,18 @@ def _cmd_decompose(args) -> int:
         "max_reconstruction_error": err,
         "netlist": args.outfile,
     }
+    misses = [f"netlist {args.outfile} misses it by {_fmt(err)}"] if err > FILE_TOL else []
     if args.factors:
         save_factorization(args.factors, fact)
+        ferr = float(np.max(np.abs(reconstruct(load_factorization(args.factors)) - u)))
         lines.append(f"wrote {args.factors}")
         record["factorization"] = args.factors
+        record["factorization_error"] = ferr
+        if ferr > FILE_TOL:
+            misses.append(f"factorization {args.factors} misses it by {_fmt(ferr)}")
+    if misses:
+        _emit(record, lines)
+        raise ValueError(f"a written file does not reproduce the input within {FILE_TOL:g}: {'; '.join(misses)}")
     if args.svg:
         _write_text(args.svg, render_schematic(net, format="svg"), "svg", lines, record)
     _emit(record, lines)
@@ -169,7 +188,7 @@ def _cmd_prepare(args) -> int:
     basis_in = np.zeros(n, dtype=np.complex128)
     basis_in[args.port - 1] = 1.0
     out = simulate(load_netlist(args.outfile) if args.outfile else net, basis_in)  # the file, when one is written
-    ok = equal_up_to_global_phase(out, psi, 1e-10)
+    ok = equal_up_to_global_phase(out, psi, FILE_TOL)
 
     lines = [
         f"state {args.state} dim {n}",
@@ -272,6 +291,7 @@ def _cmd_contexts(args) -> int:
         lines.append("invalid")
         lines.extend(f"violation: {v}" for v in report.violations)
         _emit(record, lines)
+        _emit_failure("contexts", 4, "ValueError", f"invalid context graph: {len(report.violations)} violations")
         return 4
 
     lines.append("ok")
@@ -304,11 +324,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, error = 3, exc
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        code, error = 4, exc
+    print(f"error: {error}", file=sys.stderr)
+    _emit_failure(args.verb, code, type(error).__name__, str(error))
+    return code
 
 
 if __name__ == "__main__":

@@ -24,11 +24,12 @@ A ``ContextGraph`` keeps the report of its first validation, so
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import _trusted
+from .devices import _Rows, _trusted
 from .numerics import as_vector, read_json, rows_equal_up_to_global_phase, write_json
 from .observables import ObservableSpec
 
@@ -197,12 +198,19 @@ class ValidationReport:
 
     A link ``(a, b, i, j)``, a < b, says that ray i of context a equals ray j
     of context b up to phase.  Links are sorted; contexts of another
-    dimension than the graph's have none.
+    dimension than the graph's have none.  The validator's ``links`` is a
+    read-only sequence over one read-only int array of the sorted links: its
+    length comes from the array, and each link tuple is built only when it
+    is read.  It compares equal to the tuple of its links, and is not a tuple.
     """
 
     ok: bool
     violations: tuple[str, ...]
-    links: tuple[tuple[int, int, int, int], ...] = ()
+    links: Sequence[tuple[int, int, int, int]] = ()
+
+
+def _link(a, b, i, j) -> tuple[int, int, int, int]:
+    return a, b, i, j
 
 
 def validate_context_graph(graph: ContextGraph) -> ValidationReport:
@@ -288,11 +296,10 @@ def _validate(graph: ContextGraph) -> ValidationReport:
                 f"may share at most {most}"
             )
 
-    links = links[:, np.lexsort(links[::-1])]  # in the order of (a, b, i, j) tuples
-    # One int object per value, shared by all links: a file at the ray cap has 2.1M.
-    ints = np.arange(links.max(initial=-1) + 1).astype(object)
-    links = tuple(zip(*ints[links].tolist()))
-    return ValidationReport(ok=not violations, violations=tuple(violations), links=links)
+    # In the order of (a, b, i, j) tuples; a file at the ray cap has 2.1M links, none built here.
+    links = links[:, np.lexsort(links[::-1])]
+    links.flags.writeable = False
+    return ValidationReport(ok=not violations, violations=tuple(violations), links=_Rows(_link, *links))
 
 
 def greechie_dot(graph: ContextGraph) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,13 @@ from .devices import (
     TParams,
     TWO,
     _Mesh,
+    _Rows,
     _apply_pairs,
     _checked_mixings,
     _checked_phases,
     _stack,
     _t_block,
+    _trusted,
     apply_layers,
 )
 from .numerics import as_matrix, read_json, unitarity_deviation, write_json
@@ -59,6 +62,11 @@ class TFactor:
     params: TParams
 
 
+def _cell(p, q, omega, phi) -> TFactor:
+    # The cell's fields are already checked, so TParams.__post_init__ is skipped.
+    return _trusted(TFactor, p=p, q=q, params=_trusted(TParams, omega=omega, phi=phi))
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Factorization(_Mesh):
     """Ordered cell factors plus the final diagonal, stored as phases.
@@ -71,26 +79,18 @@ class Factorization(_Mesh):
     from its file format, whose reader ``factorization_from_payload`` checks
     every rule once.  The cells are held as read-only arrays ``p``, ``q``
     (ports), ``omega`` and ``phi``; ``diagonal`` is an array too.
-    ``factors`` is a read-only tuple view of ``TFactor`` objects, built on
-    first use.
+    ``factors`` is a read-only sequence of ``TFactor`` cells over those
+    arrays: its length is ``p.size``, and cell i is built only when it is
+    read.  It compares equal to the tuple of its cells, and is not a tuple.
     """
 
     dim: int
-    factors: tuple[TFactor, ...]
+    factors: Sequence[TFactor]
     diagonal: np.ndarray
     _view = "factors"
 
-    def _build_view(self) -> tuple:
-        # Each cell's fields are already checked, so TParams.__post_init__ is skipped.
-        new, put = object.__new__, object.__setattr__
-        cells = []
-        for p, q, w, f in zip(self.p.tolist(), self.q.tolist(), self.omega.tolist(), self.phi.tolist()):
-            params = new(TParams)
-            put(params, "__dict__", {"omega": w, "phi": f})
-            cell = new(TFactor)
-            put(cell, "__dict__", {"p": p, "q": q, "params": params})
-            cells.append(cell)
-        return tuple(cells)
+    def _build_view(self) -> _Rows:
+        return _Rows(_cell, self.p, self.q, self.omega, self.phi)
 
     def __eq__(self, other):
         if not isinstance(other, Factorization):

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,8 +270,8 @@ class _Mesh:
     ``p`` and ``q``.  ``_from_columns`` stores valid columns and checks none:
     the rules belong to the readers of outside input, and the producers
     (``decompose``, ``netlist_from_factorization``) build valid columns.  A
-    subclass names its read-only tuple view in ``_view`` and builds it in
-    ``_build_view``; ``_coefficients()`` returns the ``block`` and ``rows``
+    subclass names its read-only per-element view in ``_view`` and builds it
+    in ``_build_view``; ``_coefficients()`` returns the ``block`` and ``rows``
     that ``layer_steps`` takes.  A mesh built with a plan (see
     ``_from_columns``) replays it and never runs ``schedule`` or
     ``layer_steps``.
@@ -280,7 +282,7 @@ class _Mesh:
 
     @classmethod
     def _from_columns(cls, dim, layers=None, plan=None, **columns):
-        """An instance straight from valid columns, stored as read-only arrays, without the tuple view.
+        """An instance straight from valid columns, stored as read-only arrays, without the per-element view.
 
         ``layers``, when given, is the elements' ASAP schedule, already known.
         ``plan``, when given, is the steps of that schedule as ``(where, lo,
@@ -336,6 +338,51 @@ def _trusted(cls, **fields):
     obj = object.__new__(cls)
     object.__setattr__(obj, "__dict__", fields)
     return obj
+
+
+_ROWS_STEP = 4096  # items built per step of an iteration, so that a long view is never listed at once
+
+
+class _Rows(Sequence):
+    """A read-only sequence whose item i is ``build(*row i of the columns)``, built only when read.
+
+    ``columns`` are equal-length 1-D arrays, and ``build`` takes one Python
+    scalar per column.  ``len`` comes from the arrays, a slice is a tuple,
+    iteration builds the items in order, and ``==``, ``hash`` and ``repr``
+    are those of the tuple of the items.  The view holds the arrays only.
+    """
+
+    __slots__ = ("_build", "_columns")
+
+    def __init__(self, build, *columns):
+        self._build = build
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._build, *(c[i].tolist() for c in self._columns)))
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError("view index out of range")
+        return self._build(*(c[i].item() for c in self._columns))
+
+    def __iter__(self):
+        for lo in range(0, len(self), _ROWS_STEP):
+            yield from self[lo : lo + _ROWS_STEP]
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _Rows)):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def _bs_block(omega, alpha, beta, phi) -> tuple:

@@ -27,6 +27,7 @@ import multiport.contexts
 import multiport.numerics
 from multiport.cli import main
 from multiport.contexts import Context, ContextGraph, Ray
+from multiport.decompose import factorization_to_payload
 from multiport.interferometer import netlist_to_payload
 from multiport.observables import ObservableSpec
 
@@ -100,11 +101,38 @@ def test_decompose_reports_the_error_of_the_file_it_wrote(tmp_path, capsys, monk
     monkeypatch.setattr(multiport.cli, "save_netlist", save_with_one_alpha_off)
     mat = tmp_path / "u.json"
     save_matrix(mat, random_unitary(6, 21))
-    code, out, _ = run(capsys, "decompose", "--in", str(mat), "--out", str(tmp_path / "net.json"))
-    assert code == 0
+    code, out, err = run(capsys, "decompose", "--in", str(mat), "--out", str(tmp_path / "net.json"))
+    assert code == 4
     line = out.splitlines()[3]
     assert line.startswith("max reconstruction error ")
     assert float(line.split()[-1]) > 1e-7
+    assert err.startswith("error: a written file does not reproduce the input within 1e-10: netlist ")
+
+
+def test_decompose_checks_the_factorization_file_it_wrote(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("REPORT_JSON", "1")
+    mat, net, fac = tmp_path / "u.json", tmp_path / "net.json", tmp_path / "f.json"
+    save_matrix(mat, random_unitary(6, 21))
+    argv = ("decompose", "--in", str(mat), "--out", str(net), "--factors", str(fac))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["factorization_error"] <= 1e-10
+
+    def save_with_one_phi_off(path, f):
+        payload = factorization_to_payload(f)
+        payload["factors"][0]["phi"] += 1e-6
+        multiport.numerics.write_json(path, payload)
+
+    monkeypatch.setattr(multiport.cli, "save_factorization", save_with_one_phi_off)
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    record, failure = map(json.loads, out.splitlines())
+    assert record["factorization_error"] > 1e-7 and record["max_reconstruction_error"] <= 1e-10
+    assert failure["exit_code"] == 4 and f"factorization {fac} misses it by " in failure["message"]
+    assert "error:" in err
+    monkeypatch.delenv("REPORT_JSON")
+    code, out, _ = run(capsys, *argv)
+    assert code == 4 and out.splitlines()[-1] == f"wrote {fac}" and "factorization_error" not in out
 
 
 def test_decompose_matrix_file_with_fractional_shape_exits_4(tmp_path, capsys):
@@ -503,6 +531,32 @@ def test_json_mode_emits_single_record(monkeypatch, capsys):
     assert record["verb"] == "predict"
     np.testing.assert_allclose(record["probabilities"], [0.25] * 4, atol=1e-15)
     assert list(record) == sorted(record)
+
+
+FAILURES = {
+    "missing-netlist": (3, "simulate", "FileNotFoundError", ("simulate", "--net", "{tmp}/nope.json")),
+    "garbled-matrix": (4, "decompose", "ValueError", ("decompose", "--in", "{tmp}/bad.json", "--out", "{tmp}/n.json")),
+    "invalid-graph": (4, "contexts", "ValueError", ("contexts", "--graph", "@{tmp}/graph.json")),
+}
+
+
+@pytest.mark.parametrize("code, verb, error_class, argv", FAILURES.values(), ids=FAILURES.keys())
+def test_json_mode_ends_a_failure_with_its_record(tmp_path, capsys, monkeypatch, code, verb, error_class, argv):
+    (tmp_path / "bad.json").write_text(json.dumps({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]}))
+    one_ray = [Context(name, (Ray(name, np.eye(3)[0]),)) for name in "AB"]  # too short, and one ray named twice
+    save_context_graph(tmp_path / "graph.json", ContextGraph(contexts=tuple(one_ray)))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    text = run(capsys, *argv)
+    monkeypatch.setenv("REPORT_JSON", "1")
+    got, out, err = run(capsys, *argv)
+    assert got == text[0] == code
+    record = json.loads(out.splitlines()[-1])
+    assert list(record) == ["error_class", "exit_code", "message", "verb"]
+    assert (record["verb"], record["exit_code"], record["error_class"]) == (verb, code, error_class)
+    assert err == text[2]
+    if verb != "contexts":
+        assert out.splitlines() == [out.splitlines()[-1]] and text[1] == ""
+        assert err == f"error: {record['message']}\n"
 
 
 def test_module_entry_point(tmp_path):

@@ -238,11 +238,13 @@ def test_context_mixing_ray_sizes_raises(tmp_path, monkeypatch, capsys):
         {"name": "D", "rays": [ray("a", [1, 0, 0]), ray("b", [0, 1, 0]), ray("c", [0, 0, 1])]},
         {"name": "E", "rays": [ray("a", [1, 0, 0]), ray("q", [0, 1])]},
     ]))
-    for report_json in ("0", "1"):
+    failure = {"error_class": "ValueError", "exit_code": 4, "message": "context 'E' mixes ray dimensions",
+               "verb": "contexts"}
+    for report_json, stdout in (("0", ""), ("1", json.dumps(failure) + "\n")):
         monkeypatch.setenv("REPORT_JSON", report_json)
         assert main(["contexts", "--graph", f"@{path}"]) == 4
         out = capsys.readouterr()
-        assert (out.out, out.err) == ("", "error: context 'E' mixes ray dimensions\n")
+        assert (out.out, out.err) == (stdout, "error: context 'E' mixes ray dimensions\n")
     # Contexts of different dimensions share no ray, and no Gram pass asks.
     monkeypatch.setattr(multiport.contexts, "_shared_rows", None)
     qubit = Context(name="Q", rays=(Ray("a", [1.0, 0.0]), Ray("b", [0.0, 1.0])))
@@ -275,6 +277,33 @@ def test_report_lists_links_in_context_pair_order():
     twin = Context(name="X", rays=(Ray("a", E3[0]), Ray("a", 1j * E3[0]), Ray("c", E3[2])))
     report = validate_context_graph(ContextGraph(contexts=(twin, tripod("E", E3, "abc"))))
     assert report.links == ((0, 1, 0, 0), (0, 1, 1, 0), (0, 1, 2, 2))
+
+
+def test_validating_an_invalid_graph_builds_no_link(monkeypatch, tmp_path, capsys):
+    def no_link(*fields):
+        raise AssertionError("a link was built")
+
+    monkeypatch.setattr(multiport.contexts, "_link", no_link)
+    g = context_graph_from_payload(ray_payload(30))  # one ray 30 times: 405 links across contexts
+    report = validate_context_graph(g)
+    assert not report.ok and len(report.links) == 405
+    path = tmp_path / "copies.json"
+    save_context_graph(path, g)
+    assert main(["contexts", "--graph", f"@{path}"]) == 4
+    assert "violation:" in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="a link was built"):
+        report.links[0]
+
+
+def test_links_view_is_one_read_only_int_array():
+    report = validate_context_graph(builtin_graph("three-chain"))
+    assert not isinstance(report.links, tuple)
+    assert report.links[-1] == (0, 2, 0, 0) and report.links[:1] == ((0, 1, 2, 2),)
+    assert all(type(x) is int for link in report.links for x in link)
+    column = report.links._columns[0]
+    assert column.base is report.links._columns[3].base and not column.flags.writeable
+    assert report == validate_context_graph(builtin_graph("three-chain"))
+    assert hash(report) == hash((True, (), ((0, 1, 2, 2), (0, 2, 0, 0))))  # the dataclass hash of its fields
 
 
 def ray_payload(count):

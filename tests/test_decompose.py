@@ -257,6 +257,58 @@ def test_factorization_arrays_follow_the_tparams_rules():
         )
 
 
+def test_factors_view_is_a_read_only_sequence_equal_to_its_tuple(monkeypatch):
+    empty = decompose(np.eye(1)).factors
+    assert (len(empty), bool(empty), empty[:], hash(empty), repr(empty)) == (0, False, (), hash(()), "()")
+    assert empty == () and () == empty
+    for i in (0, -1):
+        with pytest.raises(IndexError):
+            empty[i]
+    f = decompose(random_unitary(5, 3))
+    view, cells = f.factors, f.factors[:]
+    assert type(cells) is tuple and len(view) == len(cells) == f.p.size == 10
+    assert (view[-1], view[-10], view[np.int64(2)]) == (cells[-1], cells[0], cells[2])
+    for part in (slice(2, 7, 2), slice(None, None, -1), slice(8, 40), slice(-3, None)):
+        assert view[part] == cells[part] and type(view[part]) is tuple
+    for i in (10, -11):
+        with pytest.raises(IndexError):
+            view[i]
+    with pytest.raises(TypeError):
+        view[0] = cells[0]
+    assert view == cells and cells == view and view == decompose(random_unitary(5, 3)).factors
+    assert view != cells[:-1] and view != list(cells) and view != decompose(random_unitary(5, 4)).factors
+    assert (hash(view), repr(view)) == (hash(cells), repr(cells))
+    assert not isinstance(view, tuple)
+    monkeypatch.setattr(importlib.import_module("multiport.devices"), "_ROWS_STEP", 3)
+    assert list(view) == list(cells)  # built three at a time, in order
+
+
+def test_counting_the_factors_builds_no_cell(monkeypatch):
+    def no_cell(*fields):
+        raise AssertionError("a cell was built")
+
+    monkeypatch.setattr(importlib.import_module("multiport.decompose"), "_cell", no_cell)
+    f = decompose(random_unitary(6, 2))
+    assert len(f.factors) == 15 and f.factors
+    with pytest.raises(AssertionError, match="a cell was built"):
+        f.factors[0]
+
+
+def cell_bits(cells):
+    return [(type(c.p), c.p, type(c.q), c.q, c.params.omega.hex(), c.params.phi.hex()) for c in cells]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+def test_factors_view_holds_the_cells_of_the_columns_bit_for_bit(n, seed, permutation):
+    u = np.eye(n)[np.random.default_rng(seed).permutation(n)] if permutation else random_unitary(n, seed)
+    f = decompose(u)
+    columns = zip(f.p.tolist(), f.q.tolist(), f.omega.tolist(), f.phi.tolist())
+    want = tuple(TFactor(p, q, TParams(w, x)) for p, q, w, x in columns)
+    assert tuple(f.factors) == want
+    assert cell_bits(f.factors) == cell_bits(want)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_round_trip_property(n, seed):
