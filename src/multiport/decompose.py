@@ -8,14 +8,13 @@ each of its layers is solved as one array step and applied as one batched
 2x2 product.
 ``reconstruct`` rebuilds the original unitary from the factors, layer by
 layer, so ``reconstruct(decompose(u)) == u`` to float accuracy.  When no cell
-is skipped, ``decompose`` hands its layers and their row runs to the
-factorization, and ``reconstruct`` and the compiled netlist replay them.
+is skipped, ``decompose`` hands its layers to the factorization as its layer
+plan, and ``reconstruct`` and the compiled netlist replay it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -35,7 +34,7 @@ from .devices import (
     _trusted,
     apply_layers,
 )
-from .numerics import as_matrix, read_json, unitarity_deviation, write_json
+from .numerics import as_matrix, read_int, read_json, unitarity_deviation, write_json
 
 __all__ = [
     "TFactor",
@@ -136,9 +135,9 @@ def decompose(u) -> Factorization:
     listed layer by layer, by column within a layer.
     Entries already below 1e-14 are skipped, so the factor count is at most
     n(n-1)/2.  If none is skipped, these layers are the ASAP schedule, and
-    the factorization keeps them with each layer's row run and cell range;
-    otherwise later cells may move up, and the schedule is left to first
-    use.  Permutation-like inputs are no longer short: each 1 walks to the
+    the factorization keeps them as its layer plan; otherwise later cells
+    may move up, and the mesh is planned ASAP on first use.
+    Permutation-like inputs are no longer short: each 1 walks to the
     diagonal through swap cells (omega = 0), one per inversion, so the
     reversal of n ports takes all n(n-1)/2.  The input's Gram deviation, and
     after elimination the residual's distance from a unit-modulus diagonal,
@@ -162,7 +161,7 @@ def decompose(u) -> Factorization:
     flat = w.reshape(-1)
     step = 2 * n + 1  # from w[j, i] to w[j+2, i+1], the next cell of a layer
     cells = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
-    plan, k = [], 0  # each layer's (where, lo, hi), while no cell is skipped
+    plan, k = [], 0  # each layer's (layer, TWO, where, lo, hi), while no cell is skipped
     for layer in range(1, 2 * n - 2):
         top = (layer - 1) // 2  # the layer's cells sit in rows i = n-1-r, r <= top
         count = top - max(0, layer - n + 1) + 1
@@ -180,7 +179,7 @@ def decompose(u) -> Factorization:
             j, omega, phi = j[keep], omega[keep], phi[keep]
             where = np.stack((j, j + 1), axis=1)
         elif plan is not None:
-            plan.append((where, k, k + count))
+            plan.append((layer, TWO, where, k, k + count))
             k += count
         (a, b), (c, d) = _t_block(omega, phi)
         _apply_pairs(w, where, _stack(((a, c), (b, d))))  # columns times T: rows times T^T
@@ -191,10 +190,9 @@ def decompose(u) -> Factorization:
     if drift > UNITARY_TOL:
         raise ValueError(f"elimination left a residual {drift:.3e} off a unit-modulus diagonal")
     p, omega, phi = (np.concatenate(x) for x in zip(*cells))
-    # Skipped cells let later cells move up, so only a full triangle hands over its layers.
-    layers = None if plan is None else np.repeat(np.arange(1, len(plan) + 1), [hi - lo for _, lo, hi in plan])
+    # Skipped cells let later cells move up, so only a full triangle hands over its layers, in list order.
     return Factorization._from_columns(
-        n, p=p, q=p + 1, omega=omega, phi=phi, diagonal=-angles, layers=layers, plan=plan
+        n, plan=None if plan is None else (None, plan), p=p, q=p + 1, omega=omega, phi=phi, diagonal=-angles
     )
 
 
@@ -225,7 +223,7 @@ def factorization_to_payload(f: Factorization) -> dict:
 
 def factorization_from_payload(payload: dict) -> Factorization:
     """A factorization from its file, every rule checked once, with the angle rules of ``TParams``."""
-    dim = operator.index(payload["dim"])
+    dim = read_int(payload["dim"])
     if dim > MAX_FILE_DIM:
         raise ValueError(f"factorization dim {dim} exceeds the limit of {MAX_FILE_DIM}")
     if dim < 1:
@@ -234,8 +232,8 @@ def factorization_from_payload(payload: dict) -> Factorization:
     limit = dim * (dim - 1) // 2
     if len(items) > limit:
         raise ValueError(f"{len(items)} factors exceed the n(n-1)/2 = {limit} bound")
-    p = np.array([operator.index(item["p"]) for item in items], dtype=np.int64)
-    q = np.array([operator.index(item["q"]) for item in items], dtype=np.int64)
+    p = np.array([read_int(item["p"]) for item in items], dtype=np.int64)
+    q = np.array([read_int(item["q"]) for item in items], dtype=np.int64)
     bad = np.flatnonzero((p < 1) | (p >= q) | (q > dim))
     if bad.size:
         raise ValueError(f"file ports ({p[bad[0]]}, {q[bad[0]]}) invalid for dim {dim} (1-based)")

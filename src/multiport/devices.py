@@ -40,7 +40,8 @@ __all__ = [
     "MzParams",
     "t_matrix",
     "schedule",
-    "layer_steps",
+    "layer_plan",
+    "plan_steps",
     "apply_layers",
     "t_bs",
     "t_bs_product",
@@ -218,21 +219,19 @@ def schedule(kind: np.ndarray, p: np.ndarray, q: np.ndarray, dim: int) -> np.nda
     return np.array(layers, dtype=np.int64)
 
 
-def layer_steps(layers, kind, p, q, block, rows) -> list:
-    """Steps ``(where, coef)`` for ``apply_layers``: one per layer and kind, in layer order.
+def layer_plan(layers, kind, p, q) -> tuple:
+    """How a mesh is applied: ``(order, steps)``, one step per layer and kind, in layer order.
 
-    ``block`` holds the entries ((a, b), (c, d)) of each TWO element as
-    arrays indexed like ``kind``; ``a`` also holds the factor of each ONE
-    element.  ``rows[r]`` holds the per-row factors of the r-th ALL element.
-    The blocks form one (K, 2, 2) stack in layer order, and each TWO layer
-    takes a slice of it: its ``where`` is a slice of rows when its cells are
-    (p, p+1) with p stepping by 2, and a (w, 2) array of row pairs otherwise.
-    A ONE or ALL step has a column of factors as ``coef``.
+    ``order`` sorts the elements by layer, kind and port.  Each step is
+    ``(layer, kind, where, lo, hi)``: a TWO or ONE step acts on the sorted
+    elements ``lo`` to ``hi - 1``, and an ALL step on every row, by ALL
+    element ``lo``.  A TWO step's ``where`` is a slice of rows when its cells
+    are (p, p+1) with p stepping by 2, and a (w, 2) array of row pairs
+    otherwise; a ONE step's is its rows.  ``plan_steps`` replays a plan.
     """
     key = 3 * layers + kind
     order = np.lexsort((p, key))
     key, ps, qs = key[order], p[order], q[order]
-    coef = _stack(block)[order]
     row_of = np.cumsum(kind == ALL)[order] - 1
     starts = np.flatnonzero(np.diff(key, prepend=-1))
     # A cell breaks a run unless q = p + 1 and, past its layer's first cell, p is 2 above the last.
@@ -241,20 +240,34 @@ def layer_steps(layers, kind, p, q, block, rows) -> list:
     irregular = np.logical_or.reduceat(breaks, starts).tolist()
     steps = []
     for lo, hi, odd in zip(starts.tolist(), starts[1:].tolist() + [len(key)], irregular):
-        k = key[lo] % 3
+        layer, k = divmod(int(key[lo]), 3)
         if k == ALL:
-            steps.append((slice(None), rows[row_of[lo]][:, None]))
+            where, lo, hi = slice(None), int(row_of[lo]), int(row_of[lo]) + 1
         elif k == ONE:
-            steps.append((ps[lo:hi], coef[lo:hi, 0, :1]))
+            where = ps[lo:hi]
         elif odd:
-            steps.append((np.stack((ps[lo:hi], qs[lo:hi]), axis=1), coef[lo:hi]))
+            where = np.stack((ps[lo:hi], qs[lo:hi]), axis=1)
         else:
-            steps.append((slice(int(ps[lo]), int(ps[hi - 1]) + 2), coef[lo:hi]))
-    return steps
+            where = slice(int(ps[lo]), int(ps[hi - 1]) + 2)
+        steps.append((layer, k, where, lo, hi))
+    return order, steps
+
+
+def plan_steps(order, steps, block, rows) -> list:
+    """Steps ``(where, coef)`` for ``apply_layers``: a ``layer_plan`` replayed on a mesh's coefficients.
+
+    ``block`` holds the entries ((a, b), (c, d)) of each element as arrays,
+    ``a`` also a ONE element's factor, and ``rows[r]`` the per-row factors of
+    ALL element r.  The blocks form one (K, 2, 2) stack in the plan's
+    ``order`` (list order when None); a ONE or ALL step's ``coef`` is a column.
+    """
+    coef = _stack(block) if order is None else _stack(block)[order]
+    return [(where, coef[lo:hi] if k == TWO else coef[lo:hi, 0, :1] if k == ONE else rows[lo][:, None])
+            for _, k, where, lo, hi in steps]
 
 
 def apply_layers(m: np.ndarray, steps) -> None:
-    """Apply ``layer_steps`` in place to the rows of a matrix or a vector."""
+    """Apply ``plan_steps`` in place to the rows of a matrix or a vector."""
     rows = m if m.ndim == 2 else m[:, None]
     for where, coef in steps:
         if coef.ndim == 3:
@@ -272,33 +285,27 @@ class _Mesh:
     (``decompose``, ``netlist_from_factorization``) build valid columns.  A
     subclass names its read-only per-element view in ``_view`` and builds it
     in ``_build_view``; ``_coefficients()`` returns the ``block`` and ``rows``
-    that ``layer_steps`` takes.  A mesh built with a plan (see
-    ``_from_columns``) replays it and never runs ``schedule`` or
-    ``layer_steps``.
+    that ``plan_steps`` takes.  Every mesh is applied by replaying one
+    ``layer_plan``: the one handed to ``_from_columns``, or else one built
+    from the ASAP ``schedule`` on first use.
     """
 
     _view = ""
-    _plan = None
 
     @classmethod
-    def _from_columns(cls, dim, layers=None, plan=None, **columns):
+    def _from_columns(cls, dim, plan=None, **columns):
         """An instance straight from valid columns, stored as read-only arrays, without the per-element view.
 
-        ``layers``, when given, is the elements' ASAP schedule, already known.
-        ``plan``, when given, is the steps of that schedule as ``(where, lo,
-        hi)``: cells ``lo`` to ``hi - 1``, in list order, on the rows
-        ``where``.  A planned mesh lists its cells layer by layer and ends in
-        its ALL elements, so it is applied without ``layer_steps``.
+        ``plan``, when given, is the mesh's ``layer_plan``, already known, so
+        the mesh never runs ``schedule`` or ``layer_plan``.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "dim", dim)
         for name, arr in columns.items():
             arr.flags.writeable = False
             object.__setattr__(obj, name, arr)
-        if layers is not None:
-            object.__setattr__(obj, "_layer_of", layers)
         if plan is not None:
-            object.__setattr__(obj, "_plan", plan)
+            object.__setattr__(obj, "_layer_plan", plan)
         return obj
 
     def _once(self, name: str, build):
@@ -316,21 +323,16 @@ class _Mesh:
 
     @property
     def depth(self) -> int:
-        """Number of layers the ASAP schedule applies the elements in."""
-        return int(self._layers().max(initial=0))
+        """Number of layers the elements are applied in: the last layer of the mesh's plan."""
+        return max((step[0] for step in self._plan()[1]), default=0)
 
-    def _layers(self) -> np.ndarray:
-        return self._once("_layer_of", lambda: schedule(self.kind, self.p, self.q, self.dim))
+    def _plan(self) -> tuple:
+        return self._once(
+            "_layer_plan", lambda: layer_plan(schedule(self.kind, self.p, self.q, self.dim), self.kind, self.p, self.q)
+        )
 
     def _steps(self) -> list:
-        return self._once("_layer_steps", self._build_steps)
-
-    def _build_steps(self) -> list:
-        block, rows = self._coefficients()
-        if self._plan is None:
-            return layer_steps(self._layers(), self.kind, self.p, self.q, block, rows)
-        coef = _stack(block)
-        return [(where, coef[lo:hi]) for where, lo, hi in self._plan] + [(slice(None), row[:, None]) for row in rows]
+        return self._once("_layer_steps", lambda: plan_steps(*self._plan(), *self._coefficients()))
 
 
 def _trusted(cls, **fields):

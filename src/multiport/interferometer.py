@@ -11,15 +11,15 @@ Element kinds
 
 ``simulate`` applies elements in passage order: the first element of the
 list hits the input state first.  ``transfer_matrix`` and ``simulate`` apply
-a netlist layer by layer: an ASAP schedule, built once per netlist, puts
-each element one layer above the latest element on its ports (a ``diag`` is
-a barrier), and each layer is one array step, a batched 2x2 product for a
-layer of ``bs`` cells.  A compiled netlist takes its factorization's
-schedule, and its layer plan where ``decompose`` kept every cell.  A mesh
-compiled from a dense n x n unitary has depth 2n-2: 2n-3 layers of cells
-plus the final ``diag``.  Ports are 0-based in memory and 1-based in files
-and rendered output.  Netlist files write ``"omega"``; a
-``bs`` with only ``"T"`` (the older format) is still read.
+a netlist layer by layer, replaying its layer plan: each layer is one array
+step, a batched 2x2 product for a layer of ``bs`` cells.  A compiled netlist
+takes its factorization's plan, with the final ``diag`` as one more layer;
+any other netlist is planned once, on first use, from an ASAP schedule that
+puts each element one layer above the latest element on its ports (a
+``diag`` is a barrier).  A mesh compiled from a dense n x n unitary has
+depth 2n-2: 2n-3 layers of cells plus the final ``diag``.  Ports are 0-based
+in memory and 1-based in files and rendered output.  Netlist files write
+``"omega"``; a ``bs`` with only ``"T"`` (the older format) is still read.
 
 A netlist is compiled from a factorization or read from a file, whose
 format is the one documented way to write a mesh by hand; ``Netlist(dim,
@@ -46,7 +46,6 @@ from a factorization, whose own reader checked it, and checks nothing again.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -67,7 +66,7 @@ from .devices import (
     omega_from_transmission,
     transmission,
 )
-from .numerics import as_vector, read_json, write_json
+from .numerics import as_vector, read_int, read_json, write_json
 
 __all__ = [
     "Element",
@@ -190,17 +189,16 @@ def _read_elements(dim: int, items, base: int) -> dict:
     """
     if dim < 1:
         raise ValueError("netlist dimension must be >= 1")
-    index = operator.index
     ports, angles, rows = [], [], []  # kind, p, q of each element, flat; its angles; each diag's phases
     for item in items:
         k = item.get("kind")
         if k == "bs":
-            ports += (TWO, index(item["p"]), index(item["q"]))
+            ports += (TWO, read_int(item["p"]), read_int(item["q"]))
             omega = item["omega"] if "omega" in item else omega_from_transmission(item["T"])
             get = item.get
             angles.append((float(omega), float(get("alpha", 0.0)), float(get("beta", 0.0)), float(get("phi", 0.0))))
         elif k == "ps":
-            ports += (ONE, index(item["p"]), base - 1)
+            ports += (ONE, read_int(item["p"]), base - 1)
             angles.append((float(item["phase"]), 0.0, 0.0, 0.0))
         elif k == "diag":
             row = [float(x) for x in item["phases"]]
@@ -241,10 +239,11 @@ def netlist_from_factorization(f: Factorization) -> Netlist:
     The diag layer is always present, even when every phase is zero, so the
     layout is uniform.  The whole compile is array arithmetic on the
     factorization's columns, which are valid, so nothing is checked again;
-    the netlist takes the factorization's ASAP schedule and layer plan, with
-    the diag as one more layer, rather than scheduling again.
+    the netlist takes the factorization's layer plan, with the diag as one
+    more layer, rather than planning again.
     """
     k = f.p.size
+    order, steps = f._plan()
     angles = np.empty((k + 1, 4))
     angles[:k, 0] = f.omega
     angles[:k, 1] = _wrap(-f.phi - _HALF_PI)
@@ -253,7 +252,7 @@ def netlist_from_factorization(f: Factorization) -> Netlist:
     angles[k] = 0.0
     return Netlist._from_columns(
         f.dim, kind=np.append(np.full(k, TWO), ALL), p=np.append(f.p, -1), q=np.append(f.q, -1), angles=angles,
-        phases=-f.diagonal[None, :], layers=np.append(f._layers(), f.depth + 1), plan=f._plan,
+        phases=-f.diagonal[None, :], plan=(order, steps + [(f.depth + 1, ALL, slice(None), 0, 1)]),
     )
 
 
@@ -351,7 +350,7 @@ def netlist_to_payload(nl: Netlist) -> dict:
 
 def netlist_from_payload(payload: dict) -> Netlist:
     """The columns of a netlist file, read and checked by ``_read_elements``; no ``Element`` is built."""
-    dim = operator.index(payload["dim"])
+    dim = read_int(payload["dim"])
     if dim > MAX_FILE_DIM:
         raise ValueError(f"netlist dim {dim} exceeds the limit of {MAX_FILE_DIM}")
     return Netlist._from_columns(dim, **_read_elements(dim, payload["elements"], 1))

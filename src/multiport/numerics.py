@@ -221,9 +221,16 @@ def matrix_to_payload(m: ArrayLike) -> dict:
     }
 
 
+def read_int(value) -> int:
+    """A count, dim or port read from a file: a JSON integer, so ``true``, ``2.0`` and ``"2"`` raise TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def matrix_from_payload(payload: dict) -> np.ndarray:
-    rows = operator.index(payload["rows"])
-    cols = operator.index(payload["cols"])
+    rows = read_int(payload["rows"])
+    cols = read_int(payload["cols"])
     entries = payload["entries"]
     if rows < 1 or cols < 1:
         raise ValueError("matrix payload must have positive shape")

@@ -3,9 +3,23 @@
 The acceptance tests in ``test_acceptance.py`` each cover one numbered
 criterion; the hooks below print a one-line PASS/FAIL verdict per criterion
 at the end of the run so the checklist survives in plain ``pytest`` output.
+
+Hypothesis writes a failing example as a patch through libcst, imported
+lazily while pytest reports the failure.  Under ``-W error`` a
+DeprecationWarning raised by that one third-party import would end the run
+in INTERNALERROR and hide the example, so it is imported here once with
+that warning ignored.
 """
 
 import re
+import warnings
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is absent, and Hypothesis writes no patch
+        pass
 
 _CRITERIA = {
     1: "two-qubit singlet through U1 gives ports (0, 1/2, 1/2, 0)",

@@ -18,6 +18,7 @@ from multiport import (
     predict_ports,
     qutrit2_singlet,
     random_unitary,
+    render_schematic,
     save_context_graph,
     save_matrix,
     transfer_matrix,
@@ -143,6 +144,15 @@ def test_decompose_matrix_file_with_fractional_shape_exits_4(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_decompose_matrix_file_with_boolean_shape_exits_4(tmp_path, capsys):
+    # JSON true is no integer, though Python's bool is an int.
+    mat = tmp_path / "u.json"
+    mat.write_text(json.dumps({"rows": True, "cols": True, "entries": [[1.0, 0.0]]}))
+    code, out, err = run(capsys, "decompose", "--in", str(mat), "--out", str(tmp_path / "net.json"))
+    assert (code, out) == (4, "")
+    assert "error:" in err
+
+
 def test_decompose_missing_file_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "decompose", "--in", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "net.json"))
@@ -184,6 +194,14 @@ def test_prepare_checks_the_file_it_wrote(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert "prepared state matches target up to global phase: NO" in out
     assert "error:" in err
+
+
+def test_prepare_writes_the_schematic_of_the_netlist_it_wrote(tmp_path, capsys):
+    net, svg = tmp_path / "net.json", tmp_path / "prep.svg"
+    code, out, _ = run(capsys, "prepare", "--state", "qutrit2-singlet", "--out", str(net), "--svg", str(svg))
+    assert code == 0
+    assert out.splitlines()[-1] == f"wrote {svg}"
+    assert svg.read_text() == render_schematic(load_netlist(net), format="svg")
 
 
 def test_prepare_other_port(tmp_path, capsys):
@@ -333,6 +351,8 @@ GARBLED_NETLISTS = {
     "fractional-dim-and-ports": {"dim": 2.9, "elements": [{"kind": "bs", "p": 1.9, "q": 2.2, "omega": 0.5}]},
     "fractional-dim": {"dim": 2.0, "elements": []},
     "string-port": {"dim": 2, "elements": [{"kind": "ps", "p": "2", "phase": 0.1}]},
+    "boolean-dim-and-port": {"dim": True, "elements": [{"kind": "ps", "p": True, "phase": 0.5}]},
+    "boolean-bs-port": {"dim": 2, "elements": [{"kind": "bs", "p": True, "q": 2, "omega": 0.5}]},
 }
 
 

@@ -306,6 +306,15 @@ def test_links_view_is_one_read_only_int_array():
     assert hash(report) == hash((True, (), ((0, 1, 2, 2), (0, 2, 0, 0))))  # the dataclass hash of its fields
 
 
+def test_empty_context_empty_graph_and_a_non_list_payload_are_refused():
+    with pytest.raises(ValueError, match="^a context needs at least one ray$"):
+        Context(name="C", rays=())
+    with pytest.raises(ValueError, match="^a context graph needs at least one context$"):
+        ContextGraph(contexts=())
+    with pytest.raises(ValueError, match="^context graph payload must be a list of contexts$"):
+        context_graph_from_payload({"name": "C", "rays": []})
+
+
 def ray_payload(count):
     """A graph payload of ``count`` copies of one ray, three to a context."""
     ray = {"label": "a", "vector": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}

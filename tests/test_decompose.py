@@ -169,6 +169,19 @@ def test_factor_port_validation():
         Factorization(2, (), (0.0, 0.0))
 
 
+def test_factorization_file_with_dim_0_or_too_many_factors_is_refused():
+    with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+        factorization_from_payload({"dim": 0, "factors": [], "diagonal": []})
+    factor = {"p": 1, "q": 2, "omega": 0.1, "phi": 0.0}
+    with pytest.raises(ValueError, match=r"^2 factors exceed the n\(n-1\)/2 = 1 bound$"):
+        factorization_from_payload({"dim": 2, "factors": [factor] * 2, "diagonal": [0.0, 0.0]})
+
+
+def test_decompose_refuses_a_non_square_matrix():
+    with pytest.raises(ValueError, match="^can only decompose square matrices, got 2x3$"):
+        decompose(np.eye(2, 3))
+
+
 def test_factorization_file_dim_is_capped(tmp_path):
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"dim": 4097, "factors": [], "diagonal": [0.0] * 4097}))
@@ -182,6 +195,8 @@ def test_factorization_file_dim_is_capped(tmp_path):
     pytest.param({"dim": 2.0}, id="fractional-dim"),
     pytest.param({"factors": [{"p": 1.0, "q": 2, "omega": 0.1, "phi": 0.0}]}, id="fractional-port"),
     pytest.param({"factors": [{"p": 1, "q": "2", "omega": 0.1, "phi": 0.0}]}, id="string-port"),
+    pytest.param({"dim": True, "diagonal": [0.0]}, id="boolean-dim"),
+    pytest.param({"factors": [{"p": True, "q": 2, "omega": 0.1, "phi": 0.0}]}, id="boolean-port"),
 ])
 def test_garbled_factorization_file_is_a_value_error(tmp_path, change):
     path = tmp_path / "f.json"

@@ -22,7 +22,7 @@ from multiport import (
     wrap_angle,
 )
 from multiport.decompose import factorization_from_payload
-from multiport.devices import TWO, _apply_pairs, _stack, _wrap, apply_layers, layer_steps
+from multiport.devices import TWO, _apply_pairs, _stack, _wrap, apply_layers, layer_plan, plan_steps
 from multiport.interferometer import netlist_from_payload
 
 import refdata
@@ -251,7 +251,7 @@ def test_apply_two_port_matches_block_product(make, cells, as_tuple):
     # The same cells as one layer: one batched product, written through the view.
     m = make(np.random.default_rng(11))
     p, q = np.array(cells).T
-    steps = layer_steps(np.ones_like(p), np.full_like(p, TWO), p, q, blocks.transpose(1, 2, 0), None)
+    steps = plan_steps(*layer_plan(np.ones_like(p), np.full_like(p, TWO), p, q), blocks.transpose(1, 2, 0), None)
     assert len(steps) == 1 and isinstance(steps[0][0], slice) == (len(cells) > 1)
     apply_layers(m, steps)
     assert np.max(np.abs(m - want)) <= 1e-15

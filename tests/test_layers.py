@@ -30,7 +30,7 @@ from multiport import (
 )
 from multiport import devices, interferometer
 from multiport.decompose import factorization_from_payload, factorization_to_payload
-from multiport.devices import TWO, layer_steps, schedule
+from multiport.devices import TWO, layer_plan, plan_steps, schedule
 from multiport.interferometer import netlist_from_payload, netlist_to_payload
 
 DIFF_TOL = 1e-14
@@ -256,7 +256,7 @@ SCHEDULE_INPUTS = [
 def test_compiled_netlist_inherits_the_factorization_schedule(make, gathers, tmp_path):
     f = make(tmp_path)
     nl = netlist_from_factorization(f)
-    np.testing.assert_array_equal(nl._layers(), schedule(nl.kind, nl.p, nl.q, nl.dim))
+    _same_plan(nl._plan(), scheduled_plan(nl))
     assert nl.depth == f.depth + 1
     gathered = [not isinstance(where, slice) for where, coef in nl._steps() if coef.ndim == 3]
     assert any(gathered) == gathers
@@ -284,43 +284,72 @@ def test_reversal_needs_a_swap_per_inversion():
     assert len(decompose(np.eye(8)[::-1]).factors) == 28
 
 
-def _same_step(got, want):
-    (where, coef), (want_where, want_coef) = got, want
+def scheduled_plan(mesh):
+    """The plan of a mesh's own ASAP schedule, as a mesh without a handed plan builds it."""
+    return layer_plan(schedule(mesh.kind, mesh.p, mesh.q, mesh.dim), mesh.kind, mesh.p, mesh.q)
+
+
+def _same_where(where, want_where):
     if isinstance(want_where, slice):
         assert where == want_where
     else:
         np.testing.assert_array_equal(where, want_where)
+
+
+def _same_plan(got, want):
+    """The same steps on the same elements; an order of None is list order, and ALL elements sort last."""
+    (order, steps), (want_order, want_steps) = got, want
+    order = np.arange(len(want_order)) if order is None else order
+    np.testing.assert_array_equal(order, want_order[: len(order)])
+    assert [(layer, k, lo, hi) for layer, k, _, lo, hi in steps] == [
+        (layer, k, lo, hi) for layer, k, _, lo, hi in want_steps
+    ]
+    for step, want_step in zip(steps, want_steps):
+        _same_where(step[2], want_step[2])
+
+
+def _same_step(got, want):
+    (where, coef), (want_where, want_coef) = got, want
+    _same_where(where, want_where)
     assert coef.flags.c_contiguous == want_coef.flags.c_contiguous
     assert np.array_equal(coef, want_coef)
 
 
-# Inputs on which decompose keeps every cell, so the factorization carries its plan.
-PLANNED_INPUTS = [
-    pytest.param(random_unitary(1, 3), id="n1"),
-    pytest.param(random_unitary(2, 3), id="n2"),
-    pytest.param(random_unitary(9, 4), id="dense9"),
-    pytest.param(random_unitary(16, 5), id="dense16"),
-    pytest.param(near_permutation(np.random.default_rng(6), 12, 1e-3), id="near-permutation"),
-    pytest.param(near_permutation(np.random.default_rng(8), 10, 1e-9), id="near-permutation-1e-9"),
+# Inputs with the handed flag: decompose hands its layers over as the plan when it keeps
+# every cell; a skipped cell leaves the mesh to plan its ASAP schedule.
+REPLAY_INPUTS = [
+    pytest.param(random_unitary(1, 3), True, id="n1"),
+    pytest.param(random_unitary(2, 3), True, id="n2"),
+    pytest.param(random_unitary(9, 4), True, id="dense9"),
+    pytest.param(random_unitary(16, 5), True, id="dense16"),
+    pytest.param(near_permutation(np.random.default_rng(6), 12, 1e-3), True, id="near-permutation"),
+    pytest.param(near_permutation(np.random.default_rng(8), 10, 1e-9), True, id="near-permutation-1e-9"),
+    pytest.param(np.eye(8)[::-1], True, id="reversal8"),
+    pytest.param(block_diagonal(np.random.default_rng(7), [3, 4, 2, 3]), False, id="block-diagonal"),
+    pytest.param(block_diagonal(np.random.default_rng(16), [4] * 4), False, id="block-diagonal16"),
+    pytest.param(np.eye(7)[np.random.default_rng(7).permutation(7)], False, id="perm7"),
+    pytest.param(np.eye(8)[np.random.default_rng(8).permutation(8)], False, id="perm8"),
+    pytest.param(np.eye(6), False, id="identity6"),
 ]
 
 
-@pytest.mark.parametrize("u", PLANNED_INPUTS)
-def test_plan_replays_the_layer_steps_bitwise(u):
+@pytest.mark.parametrize("u, handed", REPLAY_INPUTS)
+def test_plan_replays_the_layer_steps_bitwise(u, handed):
     f = decompose(u)
-    assert f._plan is not None
-    np.testing.assert_array_equal(f._layers(), schedule(f.kind, f.p, f.q, f.dim))
+    assert (f._plan()[0] is None) == handed
     nl = netlist_from_factorization(f)
     for mesh in (f, nl):
-        layers = schedule(mesh.kind, mesh.p, mesh.q, mesh.dim)
-        want = layer_steps(layers, mesh.kind, mesh.p, mesh.q, *mesh._coefficients())
+        want = scheduled_plan(mesh)
+        _same_plan(mesh._plan(), want)
+        want = plan_steps(*want, *mesh._coefficients())
         assert len(mesh._steps()) == len(want)
         for got, step in zip(mesh._steps(), want):
             _same_step(got, step)
-    # The same mesh through its files takes the fallback, and gives the same bits.
+    # The same mesh through its files plans its own schedule, and gives the same bits.
     f_file = factorization_from_payload(json.loads(json.dumps(factorization_to_payload(f))))
     nl_file = netlist_from_payload(json.loads(json.dumps(netlist_to_payload(nl))))
-    assert f_file._plan is None and nl_file._plan is None
+    assert f_file._plan()[0] is not None and nl_file._plan()[0] is not None
+    assert (f_file.depth, nl_file.depth) == (f.depth, nl.depth)
     v = np.random.default_rng(1).standard_normal(f.dim) + 0j
     assert np.array_equal(reconstruct(f), reconstruct(f_file))
     for compiled in (netlist_from_factorization(f_file), nl_file):
@@ -331,7 +360,7 @@ def test_plan_replays_the_layer_steps_bitwise(u):
 
 def test_planned_mesh_is_never_scheduled_and_a_skipped_cell_drops_the_plan(monkeypatch):
     calls = []
-    for name in ("schedule", "layer_steps"):
+    for name in ("schedule", "layer_plan"):
         real = getattr(devices, name)
         monkeypatch.setattr(devices, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     u = random_unitary(12, 9)
@@ -344,13 +373,16 @@ def test_planned_mesh_is_never_scheduled_and_a_skipped_cell_drops_the_plan(monke
     assert calls == []
     # A block-diagonal input skips the cells between its blocks: its ASAP
     # schedule is shallower than the nominal layers, so it carries no plan.
+    # It plans once, and its compiled netlist inherits that plan.
     f = decompose(block_diagonal(np.random.default_rng(7), [3, 4, 2, 3]))
+    assert calls == []
     nl = netlist_from_factorization(f)
-    assert f._plan is None and nl._plan is None
     assert f.depth < 2 * f.dim - 3
     reconstruct(f)
     transfer_matrix(nl)
-    assert calls == ["schedule", "layer_steps", "layer_steps"]
+    simulate(nl, np.eye(12)[:, 3])
+    assert nl._plan()[0] is f._plan()[0]
+    assert calls == ["schedule", "layer_plan"]
 
 
 def test_compile_checks_no_mixing_angle_again(monkeypatch):

@@ -101,6 +101,23 @@ def test_observable_spec_validation():
         ObservableSpec(dim=2, rotation=np.ones((2, 2)))
 
 
+def test_observable_spec_rotation_and_label_rules():
+    with pytest.raises(ValueError, match=r"^rotation shape \(3, 3\) does not match dim 2$"):
+        ObservableSpec(dim=2, rotation=np.eye(3))
+    with pytest.raises(ValueError, match="^rotation must be real$"):
+        ObservableSpec(dim=2, rotation=1j * np.eye(2))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^labels must be finite$"):
+            ObservableSpec(dim=2, labels=(1.0, bad))
+
+
+@pytest.mark.parametrize("slots", [0, 4])
+def test_products_take_one_to_three_slots(slots):
+    for build in (tensor_observable, analyzer_unitary):
+        with pytest.raises(ValueError, match=f"^expected 1..3 tensor slots, got {slots}$"):
+            build([spec2()] * slots)
+
+
 def test_observable_spec_keeps_a_read_only_copy_of_its_rotation():
     r = rotation_plane(3, (1, 2), 0.3)
     spec = ObservableSpec(3, r, (1.0, 0.0, -1.0))
