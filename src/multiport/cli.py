@@ -7,9 +7,11 @@ REPORT_JSON=1 switches stdout to single JSON records (full float precision).
 
 Exit codes: 0 success, 2 usage error, 3 missing or unreadable input file,
 bytes that are not UTF-8 or text that is not JSON, 4 numeric/validation
-failure or a file of the wrong structure.  Under REPORT_JSON=1 an exit 3
-or 4 ends stdout with one failure record: verb, exit code, error class and
-message.
+failure or a file of the wrong structure.  Every exit 3 or 4, an invalid
+context graph included, prints one ``error:`` line on stderr; under
+REPORT_JSON=1 it also ends stdout with one failure record: verb, exit code,
+error class and message.  A verb returns its report and the fault, if any,
+found after the report was built; ``main`` alone prints both.
 """
 
 from __future__ import annotations
@@ -59,22 +61,20 @@ def _emit(record: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _emit_failure(verb: str, code: int, error_class: str, message: str) -> None:
-    """The failure record of an exit 3 or 4, in JSON mode only: the text mode has its stderr line."""
-    if _json_mode():
-        record = {"verb": verb, "exit_code": code, "error_class": error_class, "message": message}
-        print(json.dumps(record, sort_keys=True))
-
-
 _STATE_HELP = f"state spec: {', '.join(STATE_NAMES)}, or @file.json"
+
+
+def _wrote(path, key: str, lines: list[str], record: dict) -> None:
+    """Report the file written at ``path``: a ``wrote`` line, and the path under ``key``."""
+    lines.append(f"wrote {path}")
+    record[key] = path
 
 
 def _write_text(path, text: str, key: str, lines: list[str], record: dict) -> None:
     """Write ``text`` to ``path`` and report the file under ``key``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    lines.append(f"wrote {path}")
-    record[key] = path
+    _wrote(path, key, lines, record)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,19 +134,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_decompose(args) -> int:
-    u = load_matrix(args.infile)
+def _compile(u, path):
+    """Compile ``u`` into ``(fact, net, back)``: with a ``path``, ``back`` is the netlist written there, read back."""
     fact = decompose(u)
     net = netlist_from_factorization(fact)
-    save_netlist(args.outfile, net)
+    if not path:
+        return fact, net, net
+    save_netlist(path, net)
+    return fact, net, load_netlist(path)
 
-    err = float(np.max(np.abs(transfer_matrix(load_netlist(args.outfile)) - u)))  # of the file, as the user gets it
+
+def _basis(n: int, port: int) -> np.ndarray:
+    """The basis vector of 1-based input ``port`` of an ``n``-port mesh."""
+    if not 1 <= port <= n:
+        raise ValueError(f"port {port} out of range 1..{n}")
+    v = np.zeros(n, dtype=np.complex128)
+    v[port - 1] = 1.0
+    return v
+
+
+def _cmd_decompose(args) -> tuple[dict, list[str], str | None]:
+    u = load_matrix(args.infile)
+    fact, net, back = _compile(u, args.outfile)
+    err = float(np.max(np.abs(transfer_matrix(back) - u)))  # of the file, as the user gets it
     lines = [
         f"dim {fact.dim}",
         f"factors {fact.p.size}",
         f"elements {net.kind.size}",
         f"max reconstruction error {_fmt(err)}",
-        f"wrote {args.outfile}",
     ]
     record = {
         "verb": "decompose",
@@ -154,41 +169,30 @@ def _cmd_decompose(args) -> int:
         "factors": fact.p.size,
         "elements": net.kind.size,
         "max_reconstruction_error": err,
-        "netlist": args.outfile,
     }
+    _wrote(args.outfile, "netlist", lines, record)
     misses = [f"netlist {args.outfile} misses it by {_fmt(err)}"] if err > FILE_TOL else []
     if args.factors:
         save_factorization(args.factors, fact)
         ferr = float(np.max(np.abs(reconstruct(load_factorization(args.factors)) - u)))
-        lines.append(f"wrote {args.factors}")
-        record["factorization"] = args.factors
+        _wrote(args.factors, "factorization", lines, record)
         record["factorization_error"] = ferr
         if ferr > FILE_TOL:
             misses.append(f"factorization {args.factors} misses it by {_fmt(ferr)}")
     if misses:
-        _emit(record, lines)
-        raise ValueError(f"a written file does not reproduce the input within {FILE_TOL:g}: {'; '.join(misses)}")
+        return record, lines, f"a written file does not reproduce the input within {FILE_TOL:g}: {'; '.join(misses)}"
     if args.svg:
         _write_text(args.svg, render_schematic(net, format="svg"), "svg", lines, record)
-    _emit(record, lines)
-    return 0
+    return record, lines, None
 
 
-def _cmd_prepare(args) -> int:
+def _cmd_prepare(args) -> tuple[dict, list[str], str | None]:
     psi = resolve_state(args.state)
     n = psi.size
-    if not 1 <= args.port <= n:
-        raise ValueError(f"port {args.port} out of range 1..{n}")
+    basis_in = _basis(n, args.port)
     u = preparation_unitary(psi, args.port - 1)
-    fact = decompose(u)
-    net = netlist_from_factorization(fact)
-    if args.outfile:
-        save_netlist(args.outfile, net)
-
-    basis_in = np.zeros(n, dtype=np.complex128)
-    basis_in[args.port - 1] = 1.0
-    out = simulate(load_netlist(args.outfile) if args.outfile else net, basis_in)  # the file, when one is written
-    ok = equal_up_to_global_phase(out, psi, FILE_TOL)
+    fact, net, back = _compile(u, args.outfile)
+    ok = equal_up_to_global_phase(simulate(back, basis_in), psi, FILE_TOL)  # the file, when one is written
 
     lines = [
         f"state {args.state} dim {n}",
@@ -205,25 +209,21 @@ def _cmd_prepare(args) -> int:
         "matches_up_to_phase": bool(ok),
     }
     if not ok:
-        _emit(record, lines)
-        raise ValueError("netlist does not reproduce the target state")
+        return record, lines, "netlist does not reproduce the target state"
     if args.outfile:
-        lines.append(f"wrote {args.outfile}")
-        record["netlist"] = args.outfile
+        _wrote(args.outfile, "netlist", lines, record)
     if args.unitary:
         save_matrix(args.unitary, u)
-        lines.append(f"wrote {args.unitary}")
-        record["unitary"] = args.unitary
+        _wrote(args.unitary, "unitary", lines, record)
     if args.svg:
         _write_text(args.svg, render_schematic(net, format="svg"), "svg", lines, record)
-    _emit(record, lines)
-    return 0
+    return record, lines, None
 
 
 _ORDERING_ALIASES = {"reversed": "reversed_lex", "forward": "forward_lex"}
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> tuple[dict, list[str], str | None]:
     psi = resolve_state(args.state)
     parts = parse_obs_spec(args.obs, psi.size)
     ordering = _ORDERING_ALIASES.get(args.ordering, args.ordering)
@@ -241,19 +241,13 @@ def _cmd_predict(args) -> int:
     }
     if args.outfile:
         write_json(args.outfile, {"probabilities": list(dist.probabilities)})
-        lines.append(f"wrote {args.outfile}")
-        record["out"] = args.outfile
-    _emit(record, lines)
-    return 0
+        _wrote(args.outfile, "out", lines, record)
+    return record, lines, None
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[dict, list[str], str | None]:
     net = load_netlist(args.net)
-    if not 1 <= args.port <= net.dim:
-        raise ValueError(f"port {args.port} out of range 1..{net.dim}")
-    basis_in = np.zeros(net.dim, dtype=np.complex128)
-    basis_in[args.port - 1] = 1.0
-    out = simulate(net, basis_in)
+    out = simulate(net, _basis(net.dim, args.port))
     probs = np.abs(out) ** 2
 
     lines = [
@@ -267,11 +261,10 @@ def _cmd_simulate(args) -> int:
         "amplitudes": [[a.real, a.imag] for a in out],
         "probabilities": [float(p) for p in probs],
     }
-    _emit(record, lines)
-    return 0
+    return record, lines, None
 
 
-def _cmd_contexts(args) -> int:
+def _cmd_contexts(args) -> tuple[dict, list[str], str | None]:
     name = args.graph
     if name.startswith("@"):
         graph = load_context_graph(name[1:])
@@ -290,9 +283,7 @@ def _cmd_contexts(args) -> int:
     if not report.ok:
         lines.append("invalid")
         lines.extend(f"violation: {v}" for v in report.violations)
-        _emit(record, lines)
-        _emit_failure("contexts", 4, "ValueError", f"invalid context graph: {len(report.violations)} violations")
-        return 4
+        return record, lines, f"invalid context graph: {len(report.violations)} violations"
 
     lines.append("ok")
     ctxs = graph.contexts
@@ -308,8 +299,7 @@ def _cmd_contexts(args) -> int:
         _write_text(args.dot, dot, "dot_file", lines, record)
     else:
         lines.append(dot.rstrip("\n"))
-    _emit(record, lines)
-    return 0
+    return record, lines, None
 
 
 def main(argv=None) -> int:
@@ -322,13 +312,19 @@ def main(argv=None) -> int:
             return 0
         return int(code)
     try:
-        return args.func(args)
+        record, lines, failure = args.func(args)
+        _emit(record, lines)
+        if failure is None:
+            return 0
+        raise ValueError(failure)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         code, error = 3, exc
     except ValueError as exc:
         code, error = 4, exc
     print(f"error: {error}", file=sys.stderr)
-    _emit_failure(args.verb, code, type(error).__name__, str(error))
+    if _json_mode():
+        failed = {"verb": args.verb, "exit_code": code, "error_class": type(error).__name__, "message": str(error)}
+        print(json.dumps(failed, sort_keys=True))
     return code
 
 

@@ -152,15 +152,15 @@ def context_of(spec: ObservableSpec, names, name: str = "context") -> Context:
     return _trusted(Context, name=name, rays=rays, matrix=matrix)
 
 
-def _shared_rows(x: np.ndarray, y: np.ndarray | None, tol: float):
+def _shared_rows(x: np.ndarray, y: np.ndarray | None):
     """Rows of two matrices equal up to phase, and the Gram matrix that found them.
 
     Returns ``(p, q, gram)``: index arrays, row-major, with ``x[p]`` equal to
     ``y[q]`` up to phase, and ``gram = |X* Y^T|``.  ``y=None`` pairs ``x``
     with itself and keeps ``p < q``.  The Gram matrix only prefilters: a pair
-    equal within ``tol`` entrywise has ``||x - c y||^2 <= n tol^2``, so for
-    norms 1 +- 1e-10 its entry is at least ``1 - n tol^2 / 2 - 1e-9``.  At
-    ``tol = 1e-8`` the gap ``1 - |<x, y>|`` is below double rounding, so the
+    equal within ``tol = LINK_TOL`` entrywise has ``||x - c y||^2 <= n tol^2``,
+    so for norms 1 +- 1e-10 its entry is at least ``1 - n tol^2 / 2 - 1e-9``.
+    At ``tol = 1e-8`` the gap ``1 - |<x, y>|`` is below double rounding, so the
     candidates are confirmed with ``rows_equal_up_to_global_phase``, in steps
     of at most ``_CONFIRM_ENTRIES`` vector entries.
     """
@@ -169,26 +169,26 @@ def _shared_rows(x: np.ndarray, y: np.ndarray | None, tol: float):
     if upper:
         y = x
     gram = np.abs(x.conj() @ y.T)
-    hit = gram >= 1.0 - n * tol * tol / 2 - 1e-9
+    hit = gram >= 1.0 - n * LINK_TOL * LINK_TOL / 2 - 1e-9
     p, q = (np.triu(hit, 1) if upper else hit).nonzero()
     if p.size:
         step = max(1, _CONFIRM_ENTRIES // n)
         ok = np.empty(p.size, dtype=bool)
         for lo in range(0, p.size, step):
             part = slice(lo, lo + step)
-            ok[part] = rows_equal_up_to_global_phase(x[p[part]], y[q[part]], tol)
+            ok[part] = rows_equal_up_to_global_phase(x[p[part]], y[q[part]], LINK_TOL)
         p, q = p[ok], q[ok]
     return p, q, gram
 
 
-def links_between(c1: Context, c2: Context, tol: float = LINK_TOL) -> list[tuple[Ray, Ray]]:
+def links_between(c1: Context, c2: Context) -> list[tuple[Ray, Ray]]:
     """Pairs of rays shared (up to global phase) between two contexts, row-major.
 
     Contexts of different dimensions share no ray.
     """
     if c1.dim != c2.dim:
         return []
-    p, q, _ = _shared_rows(c1.matrix, c2.matrix, tol)
+    p, q, _ = _shared_rows(c1.matrix, c2.matrix)
     return [(c1.rays[i], c2.rays[j]) for i, j in zip(p.tolist(), q.tolist())]
 
 
@@ -244,7 +244,7 @@ def _validate(graph: ContextGraph) -> ValidationReport:
     ks = [k for k, ctx in enumerate(contexts) if ctx.dim == dim]
     own = np.array([k for k in ks for _ in contexts[k].rays])
     pos = np.array([i for k in ks for i in range(len(contexts[k].rays))])
-    p, q, gram = _shared_rows(np.concatenate([contexts[k].matrix for k in ks]), None, LINK_TOL)
+    p, q, gram = _shared_rows(np.concatenate([contexts[k].matrix for k in ks]), None)
     links = np.array([own[p], own[q], pos[p], pos[q]])[:, own[p] != own[q]]  # ray i of context a is ray j of b
     rays = [r for k in ks for r in contexts[k].rays]
     names = [contexts[k].name for k in own.tolist()]

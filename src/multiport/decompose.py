@@ -153,8 +153,10 @@ def decompose(u) -> Factorization:
     n, c = m.shape
     if n != c:
         raise ValueError(f"can only decompose square matrices, got {n}x{c}")
+    if max(np.abs(m.real).max(), np.abs(m.imag).max()) > 1.0 + UNITARY_TOL:  # bounds the Gram product: no overflow
+        raise ValueError("input is not unitary (an entry exceeds 1 in modulus)")
     dev = unitarity_deviation(m)
-    if dev > UNITARY_TOL:
+    if not dev <= UNITARY_TOL:
         raise ValueError(f"input is not unitary (deviation {dev:.3e} > {UNITARY_TOL:g})")
 
     w = m.T.copy()  # row j of w is column j of the working matrix

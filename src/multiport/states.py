@@ -135,7 +135,9 @@ def resolve_state(spec: str) -> np.ndarray:
         if m.shape[0] > MAX_STATE_DIM:
             raise ValueError(f"state file of {m.shape[0]} entries exceeds the limit of {MAX_STATE_DIM}")
         v = m.reshape(-1)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        if not np.isfinite(v).all():
+            raise ValueError("vector entries must be finite")
+        if max(np.abs(v.real).max(), np.abs(v.imag).max()) > 1.0 + 1e-9 or abs(np.linalg.norm(v) - 1.0) > 1e-10:
             raise ValueError("state loaded from file is not normalized")
         return v
     if spec not in _STATES:

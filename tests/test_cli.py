@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -538,6 +539,26 @@ def test_prepare_state_file_over_entry_cap_exits_4(tmp_path, capsys):
     assert "1025 entries exceeds the limit of 1024" in err
 
 
+HUGE_ENTRY = {
+    "matrix": (("decompose", "--in", "{f}", "--out", "{tmp}/net.json"), 2,
+               "input is not unitary (an entry exceeds 1 in modulus)"),
+    "state-predict": (("predict", "--state", "@{f}", "--obs", "id"), 1, "state loaded from file is not normalized"),
+    "state-prepare": (("prepare", "--state", "@{f}"), 1, "state loaded from file is not normalized"),
+}
+
+
+@pytest.mark.parametrize("argv, cols, message", HUGE_ENTRY.values(), ids=HUGE_ENTRY.keys())
+def test_huge_file_entry_exits_4_without_a_warning(tmp_path, capsys, argv, cols, message):
+    # 1e308 squared overflows: the entry must be refused before any product or norm.
+    path = tmp_path / "in.json"
+    entries = [[1e308, 0.0]] + [[0.0, 0.0]] * (2 * cols - 1)
+    path.write_text(json.dumps({"rows": 2, "cols": cols, "entries": entries}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run(capsys, *(a.format(f=path, tmp=tmp_path) for a in argv))
+    assert got == (4, "", f"error: {message}\n")
+
+
 # --- JSON reporting mode --------------------------------------------------------------
 
 def test_json_mode_emits_single_record(monkeypatch, capsys):
@@ -574,9 +595,9 @@ def test_json_mode_ends_a_failure_with_its_record(tmp_path, capsys, monkeypatch,
     assert list(record) == ["error_class", "exit_code", "message", "verb"]
     assert (record["verb"], record["exit_code"], record["error_class"]) == (verb, code, error_class)
     assert err == text[2]
+    assert err == f"error: {record['message']}\n"
     if verb != "contexts":
         assert out.splitlines() == [out.splitlines()[-1]] and text[1] == ""
-        assert err == f"error: {record['message']}\n"
 
 
 def test_module_entry_point(tmp_path):

@@ -1,5 +1,6 @@
 import importlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,17 @@ def test_slightly_scaled_unitary_is_rejected_as_input(u):
     # One verdict and one message, whether or not the input needs cells.
     with pytest.raises(ValueError, match="input is not unitary"):
         decompose(u * (1 + 2.5e-9))
+
+
+@pytest.mark.parametrize("entry", [1e308, -1e308j, 0.9 + 0.9j], ids=["huge-real", "huge-imag", "parts-below-1"])
+def test_entry_above_modulus_1_is_rejected_without_a_warning(entry):
+    # A huge entry would overflow the Gram product; one whose parts stay within 1 meets the Gram check.
+    u = np.eye(3, dtype=np.complex128)
+    u[1, 2] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^input is not unitary"):
+            decompose(u)
 
 
 def test_corrupted_cell_is_caught(monkeypatch):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,14 @@ def test_state_resolution_from_file(tmp_path):
     save_matrix(bad, np.array([[1.0], [1.0]]))
     with pytest.raises(ValueError):
         resolve_state(f"@{bad}")
+
+
+def test_state_file_with_a_nan_entry_is_refused(tmp_path):
+    # NaN passes a norm check written as ``abs(norm - 1) > tol``; finiteness is checked first.
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 1, "entries": [[float("nan"), 0.0], [1.0, 0.0]]}))
+    with pytest.raises(ValueError, match="^vector entries must be finite$"):
+        resolve_state(f"@{path}")
 
 
 def test_state_file_entry_cap(tmp_path):
