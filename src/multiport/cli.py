@@ -208,10 +208,10 @@ def _cmd_prepare(args) -> tuple[dict, list[str], str | None]:
         "factors": fact.p.size,
         "matches_up_to_phase": bool(ok),
     }
-    if not ok:
-        return record, lines, "netlist does not reproduce the target state"
     if args.outfile:
         _wrote(args.outfile, "netlist", lines, record)
+    if not ok:
+        return record, lines, "netlist does not reproduce the target state"
     if args.unitary:
         save_matrix(args.unitary, u)
         _wrote(args.unitary, "unitary", lines, record)

@@ -23,14 +23,14 @@ A ``ContextGraph`` keeps the report of its first validation, so
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .devices import _Rows, _trusted
-from .numerics import as_vector, read_json, rows_equal_up_to_global_phase, write_json
+from .numerics import _unit_rows, as_vector, read_json, rows_equal_up_to_global_phase, write_json
 from .observables import ObservableSpec
 
 __all__ = [
@@ -56,10 +56,10 @@ MAX_FILE_RAYS = 2048  # most rays read from a file, checked before any Ray: a 64
 _CONFIRM_ENTRIES = 1 << 20  # vector entries per candidate-confirming step: 16 MB per temporary
 
 
-def _check_unit_rows(rows, labels) -> None:
-    """The ray rule on each of ``rows``, in order: finite entries, then |norm - 1| <= 1e-10."""
-    for label, row in zip(labels, rows):
-        if not abs(math.sqrt(np.vdot(row, row).real) - 1.0) <= 1e-10:  # a row with NaN or inf fails too
+def _check_unit_rows(rows: np.ndarray, labels) -> None:
+    """The ray rule on each row of a 2-D array, in order: finite entries, then the unit-vector rule."""
+    for label, row, unit in zip(labels, rows, _unit_rows(rows)):
+        if not unit:  # a row with NaN or inf fails too
             if not np.isfinite(row).all():
                 raise ValueError("vector entries must be finite")
             raise ValueError(f"ray {label!r} must have unit norm")
@@ -79,7 +79,7 @@ class Ray:
 
     def __post_init__(self):
         v = as_vector(np.array(self.vector, dtype=np.complex128))
-        _check_unit_rows((v,), (self.label,))
+        _check_unit_rows(v[None], (self.label,))
         v.flags.writeable = False
         object.__setattr__(self, "vector", v)
         object.__setattr__(self, "label", str(self.label))
@@ -123,17 +123,21 @@ class Context:
 class ContextGraph:
     """An ordered collection of contexts sharing a label namespace.
 
-    Its parts are read-only, so the graph keeps the report of its first
-    validation; a new graph of the same contexts is validated afresh.
+    Its parts are read-only, so ``_report``, the report of its validation,
+    is built once, on first read; a new graph of the same contexts is
+    validated afresh.
     """
 
     contexts: tuple[Context, ...]
-    _report: ValidationReport | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "contexts", tuple(self.contexts))
         if not self.contexts:
             raise ValueError("a context graph needs at least one context")
+
+    @cached_property
+    def _report(self) -> ValidationReport:
+        return _validate(self)
 
 
 def context_of(spec: ObservableSpec, names, name: str = "context") -> Context:
@@ -229,8 +233,6 @@ def validate_context_graph(graph: ContextGraph) -> ValidationReport:
     Rays a = b and b = c within ``LINK_TOL`` need not give a = c, so pairs
     are judged, not ray classes.
     """
-    if graph._report is None:
-        object.__setattr__(graph, "_report", _validate(graph))
     return graph._report
 
 
@@ -312,7 +314,7 @@ def greechie_dot(graph: ContextGraph) -> str:
     diagram of an inconsistent graph would be misleading.  A graph
     validated before is not validated again.
     """
-    report = graph._report or validate_context_graph(graph)
+    report = graph._report
     if not report.ok:
         raise ValueError(
             "cannot draw an invalid context graph: " + "; ".join(report.violations)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .devices import (
     _trusted,
     apply_layers,
 )
-from .numerics import as_matrix, read_int, read_json, unitarity_deviation, write_json
+from .numerics import _parts_within_one, as_matrix, read_int, read_json, unitarity_deviation, write_json
 
 __all__ = [
     "TFactor",
@@ -78,17 +79,17 @@ class Factorization(_Mesh):
     from its file format, whose reader ``factorization_from_payload`` checks
     every rule once.  The cells are held as read-only arrays ``p``, ``q``
     (ports), ``omega`` and ``phi``; ``diagonal`` is an array too.
-    ``factors`` is a read-only sequence of ``TFactor`` cells over those
-    arrays: its length is ``p.size``, and cell i is built only when it is
-    read.  It compares equal to the tuple of its cells, and is not a tuple.
+    ``factors``, made on first read, is a read-only sequence of ``TFactor``
+    cells over those arrays: its length is ``p.size``, and cell i is built
+    only when it is read.  It compares equal to the tuple of its cells, and
+    is not a tuple, nor a dataclass field.
     """
 
     dim: int
-    factors: Sequence[TFactor]
     diagonal: np.ndarray
-    _view = "factors"
 
-    def _build_view(self) -> _Rows:
+    @cached_property
+    def factors(self) -> Sequence[TFactor]:
         return _Rows(_cell, self.p, self.q, self.omega, self.phi)
 
     def __eq__(self, other):
@@ -153,7 +154,7 @@ def decompose(u) -> Factorization:
     n, c = m.shape
     if n != c:
         raise ValueError(f"can only decompose square matrices, got {n}x{c}")
-    if max(np.abs(m.real).max(), np.abs(m.imag).max()) > 1.0 + UNITARY_TOL:  # bounds the Gram product: no overflow
+    if not _parts_within_one(m):  # bounds the Gram product: no overflow
         raise ValueError("input is not unitary (an entry exceeds 1 in modulus)")
     dev = unitarity_deviation(m)
     if not dev <= UNITARY_TOL:
@@ -201,7 +202,7 @@ def decompose(u) -> Factorization:
 def reconstruct(f: Factorization) -> np.ndarray:
     """Rebuild the unitary: D^dagger @ T_K^dagger @ ... @ T_1^dagger, T_1^dagger applied first."""
     out = np.eye(f.dim, dtype=np.complex128)
-    apply_layers(out, f._steps())
+    apply_layers(out, f._steps)
     out *= np.exp(-1j * f.diagonal)[:, None]
     return out
 

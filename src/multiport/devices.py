@@ -30,6 +30,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -277,20 +278,18 @@ def apply_layers(m: np.ndarray, steps) -> None:
 
 
 class _Mesh:
-    """What ``Factorization`` and ``Netlist`` share, each part built once per object.
+    """What ``Factorization`` and ``Netlist`` share, each part built once per object as a ``cached_property``.
 
     A subclass is a frozen dataclass holding ``dim`` and the columns ``kind``,
     ``p`` and ``q``.  ``_from_columns`` stores valid columns and checks none:
     the rules belong to the readers of outside input, and the producers
-    (``decompose``, ``netlist_from_factorization``) build valid columns.  A
-    subclass names its read-only per-element view in ``_view`` and builds it
-    in ``_build_view``; ``_coefficients()`` returns the ``block`` and ``rows``
-    that ``plan_steps`` takes.  Every mesh is applied by replaying one
-    ``layer_plan``: the one handed to ``_from_columns``, or else one built
-    from the ASAP ``schedule`` on first use.
+    (``decompose``, ``netlist_from_factorization``) build valid columns.
+    ``_coefficients()`` returns the ``block`` and ``rows`` that
+    ``plan_steps`` takes.  Every mesh is applied by replaying one
+    ``layer_plan``, ``_plan``: the one handed to ``_from_columns``, or else
+    one built from the ASAP ``schedule`` on first use.  ``_steps`` is that
+    plan replayed on the mesh's coefficients, also on first use.
     """
-
-    _view = ""
 
     @classmethod
     def _from_columns(cls, dim, plan=None, **columns):
@@ -299,40 +298,24 @@ class _Mesh:
         ``plan``, when given, is the mesh's ``layer_plan``, already known, so
         the mesh never runs ``schedule`` or ``layer_plan``.
         """
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "dim", dim)
-        for name, arr in columns.items():
+        for arr in columns.values():
             arr.flags.writeable = False
-            object.__setattr__(obj, name, arr)
         if plan is not None:
-            object.__setattr__(obj, "_layer_plan", plan)
-        return obj
-
-    def _once(self, name: str, build):
-        try:
-            return self.__dict__[name]
-        except KeyError:
-            value = build()
-            object.__setattr__(self, name, value)
-            return value
-
-    def __getattr__(self, name):
-        if name != self._view:
-            raise AttributeError(name)
-        return self._once(name, self._build_view)
+            columns["_plan"] = plan
+        return _trusted(cls, dim=dim, **columns)
 
     @property
     def depth(self) -> int:
         """Number of layers the elements are applied in: the last layer of the mesh's plan."""
-        return max((step[0] for step in self._plan()[1]), default=0)
+        return max((step[0] for step in self._plan[1]), default=0)
 
+    @cached_property
     def _plan(self) -> tuple:
-        return self._once(
-            "_layer_plan", lambda: layer_plan(schedule(self.kind, self.p, self.q, self.dim), self.kind, self.p, self.q)
-        )
+        return layer_plan(schedule(self.kind, self.p, self.q, self.dim), self.kind, self.p, self.q)
 
+    @cached_property
     def _steps(self) -> list:
-        return self._once("_layer_steps", lambda: plan_steps(*self._plan(), *self._coefficients()))
+        return plan_steps(*self._plan, *self._coefficients())
 
 
 def _trusted(cls, **fields):

@@ -138,12 +138,11 @@ class Netlist(_Mesh):
     diag), ports ``p`` and ``q`` (-1 where a kind has none), ``angles``
     (omega, alpha, beta, phi of a bs; a ps's phase in the first column) and
     ``phases``, one row per diag element in order.  ``elements`` is a tuple
-    view of ``Element`` objects, built on first use.
+    view of ``Element`` objects, built on first use by ``__getattr__``.
     """
 
     dim: int
     elements: tuple[Element, ...]
-    _view = "elements"
 
     def __post_init__(self):
         els = tuple(self.elements)
@@ -169,8 +168,12 @@ class Netlist(_Mesh):
             else:
                 yield {"kind": "diag", "phases": seq(next(rows))}
 
-    def _build_view(self) -> tuple:
-        return tuple(_trusted(Element, **{**_UNSET, **item}) for item in self._walk(0, tuple))
+    def __getattr__(self, name):
+        if name != "elements":
+            raise AttributeError(name)
+        elements = tuple(_trusted(Element, **{**_UNSET, **item}) for item in self._walk(0, tuple))
+        object.__setattr__(self, "elements", elements)
+        return elements
 
     def _coefficients(self) -> tuple:
         omega, alpha, beta, phi = self.angles.T
@@ -243,7 +246,7 @@ def netlist_from_factorization(f: Factorization) -> Netlist:
     more layer, rather than planning again.
     """
     k = f.p.size
-    order, steps = f._plan()
+    order, steps = f._plan
     angles = np.empty((k + 1, 4))
     angles[:k, 0] = f.omega
     angles[:k, 1] = _wrap(-f.phi - _HALF_PI)
@@ -259,7 +262,7 @@ def netlist_from_factorization(f: Factorization) -> Netlist:
 def transfer_matrix(nl: Netlist) -> np.ndarray:
     """Product of all element matrices in passage order, applied layer by layer."""
     out = np.eye(nl.dim, dtype=np.complex128)
-    apply_layers(out, nl._steps())
+    apply_layers(out, nl._steps)
     return out
 
 
@@ -268,7 +271,7 @@ def simulate(nl: Netlist, state) -> np.ndarray:
     v = as_vector(state).copy()
     if v.size != nl.dim:
         raise ValueError(f"state dimension {v.size} does not match netlist dim {nl.dim}")
-    apply_layers(v, nl._steps())
+    apply_layers(v, nl._steps)
     return v
 
 

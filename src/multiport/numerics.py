@@ -7,6 +7,7 @@ The implementations favor readability over sparsity tricks.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from typing import Union
 
@@ -108,6 +109,30 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
     return q
 
 
+_PART_BOUND = 1.0 + 1e-9  # no part of an entry of a unit vector or a unitary exceeds 1; no norm of such parts overflows
+
+
+def _parts_within_one(a: np.ndarray) -> bool:
+    """Whether no real or imaginary part of ``a`` exceeds 1 + 1e-9 in size (a NaN part does)."""
+    parts = np.ascontiguousarray(a).view(np.float64)  # real and imaginary parts side by side
+    return bool(np.maximum.reduce(np.abs(parts), axis=None, initial=0.0) <= _PART_BOUND)
+
+
+def _unit_rows(rows: np.ndarray) -> list[bool]:
+    """The unit-vector rule on each row of a 2-D array: the part bound, then |norm - 1| <= 1e-10.
+
+    The bound comes first, so that no norm overflows: once over all rows,
+    and row by row only where that fails.
+    """
+    bounded = _parts_within_one(rows)
+    return [(bounded or _parts_within_one(r)) and abs(math.sqrt(np.vdot(r, r).real) - 1.0) <= 1e-10 for r in rows]
+
+
+def _is_unit(v: np.ndarray) -> bool:
+    """The unit-vector rule on one vector."""
+    return _unit_rows(v[None])[0]
+
+
 _GS_DROP = 1e-8  # candidates with shorter residuals are linearly dependent
 
 
@@ -124,7 +149,7 @@ def complete_to_unitary(column: ArrayLike, position: int) -> np.ndarray:
     n = v.size
     if not 0 <= position < n:
         raise ValueError(f"column position {position} out of range for dimension {n}")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    if not _is_unit(v):
         raise ValueError("column must have unit norm")
 
     cols = [v]

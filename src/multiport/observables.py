@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, kron
+from .numerics import _is_unit, _parts_within_one, as_matrix, as_vector, kron
 
 __all__ = [
     "ObservableSpec",
@@ -76,7 +76,7 @@ class ObservableSpec:
                 raise ValueError(f"rotation shape {r.shape} does not match dim {self.dim}")
             if np.abs(r.imag).max() > 1e-12:
                 raise ValueError("rotation must be real")
-            if np.abs(r @ r.T - np.eye(self.dim)).max() > 1e-12:
+            if not _parts_within_one(r) or np.abs(r @ r.T - np.eye(self.dim)).max() > 1e-12:
                 raise ValueError("rotation must be orthogonal (R R^T = I within 1e-12)")
             r = r.copy()  # the spec's own, so no later write by the caller reaches it
             r.flags.writeable = False
@@ -205,7 +205,7 @@ def predict_ports(analyzer: AnalyzerUnitary, psi) -> PortDistribution:
     n = analyzer.matrix.shape[0]
     if v.size != n:
         raise ValueError(f"state dimension {v.size} does not match analyzer dimension {n}")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    if not _is_unit(v):
         raise ValueError("state must be normalized")
     amps = analyzer.matrix @ v
     probs = np.abs(amps) ** 2

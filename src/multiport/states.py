@@ -13,7 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .numerics import as_vector, complete_to_unitary, dyadic, load_matrix
+from .numerics import _is_unit, as_vector, complete_to_unitary, dyadic, load_matrix
 
 __all__ = [
     "RSQRT2",
@@ -93,7 +93,7 @@ def qutrit3_singlet() -> np.ndarray:
 def state_operator(psi) -> np.ndarray:
     """Density operator |psi><psi| of a normalized pure state."""
     v = as_vector(psi)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    if not _is_unit(v):
         raise ValueError("state must be normalized")
     return dyadic(v)
 
@@ -102,12 +102,10 @@ def preparation_unitary(psi, input_port: int = 0) -> np.ndarray:
     """Unitary sending the computational basis vector at ``input_port`` to psi.
 
     Column ``input_port`` (0-based) equals psi exactly; the other columns
-    are a deterministic orthonormal completion.
+    are a deterministic orthonormal completion.  ``complete_to_unitary``
+    checks psi.
     """
-    v = as_vector(psi)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise ValueError("state must be normalized")
-    return complete_to_unitary(v, input_port)
+    return complete_to_unitary(psi, input_port)
 
 
 # The named states, in the order ``STATE_NAMES`` lists them: the one table
@@ -134,10 +132,8 @@ def resolve_state(spec: str) -> np.ndarray:
             raise ValueError(f"state file must hold a single column, got {m.shape}")
         if m.shape[0] > MAX_STATE_DIM:
             raise ValueError(f"state file of {m.shape[0]} entries exceeds the limit of {MAX_STATE_DIM}")
-        v = m.reshape(-1)
-        if not np.isfinite(v).all():
-            raise ValueError("vector entries must be finite")
-        if max(np.abs(v.real).max(), np.abs(v.imag).max()) > 1.0 + 1e-9 or abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        v = as_vector(m)
+        if not _is_unit(v):
             raise ValueError("state loaded from file is not normalized")
         return v
     if spec not in _STATES:

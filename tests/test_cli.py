@@ -197,6 +197,19 @@ def test_prepare_checks_the_file_it_wrote(tmp_path, capsys, monkeypatch):
     assert "error:" in err
 
 
+def test_failing_prepare_reports_the_netlist_it_left_on_disk(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(multiport.cli, "equal_up_to_global_phase", lambda *args: False)
+    net = tmp_path / "net.json"
+    argv = ("prepare", "--state", "bell4", "--out", str(net))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (4, "error: netlist does not reproduce the target state\n")
+    assert f"wrote {net}" in out.splitlines() and net.exists()
+    monkeypatch.setenv("REPORT_JSON", "1")
+    code, out, _ = run(capsys, *argv)
+    record, failed = map(json.loads, out.splitlines())
+    assert (code, record["netlist"], failed["exit_code"]) == (4, str(net), 4)
+
+
 def test_prepare_writes_the_schematic_of_the_netlist_it_wrote(tmp_path, capsys):
     net, svg = tmp_path / "net.json", tmp_path / "prep.svg"
     code, out, _ = run(capsys, "prepare", "--state", "qutrit2-singlet", "--out", str(net), "--svg", str(svg))

@@ -115,6 +115,7 @@ def test_single_cell_compilation():
     kinds = [e.kind for e in nl.elements]
     assert kinds == ["bs", "diag"]
     assert nl.elements[0].T == pytest.approx(0.5)
+    assert nl.elements is nl.elements  # built on the first read only
     assert np.max(np.abs(transfer_matrix(nl) - reconstruct(f))) <= 1e-12
 
 

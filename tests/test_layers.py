@@ -256,9 +256,9 @@ SCHEDULE_INPUTS = [
 def test_compiled_netlist_inherits_the_factorization_schedule(make, gathers, tmp_path):
     f = make(tmp_path)
     nl = netlist_from_factorization(f)
-    _same_plan(nl._plan(), scheduled_plan(nl))
+    _same_plan(nl._plan, scheduled_plan(nl))
     assert nl.depth == f.depth + 1
-    gathered = [not isinstance(where, slice) for where, coef in nl._steps() if coef.ndim == 3]
+    gathered = [not isinstance(where, slice) for where, coef in nl._steps if coef.ndim == 3]
     assert any(gathered) == gathers
 
 
@@ -336,19 +336,19 @@ REPLAY_INPUTS = [
 @pytest.mark.parametrize("u, handed", REPLAY_INPUTS)
 def test_plan_replays_the_layer_steps_bitwise(u, handed):
     f = decompose(u)
-    assert (f._plan()[0] is None) == handed
+    assert (f._plan[0] is None) == handed
     nl = netlist_from_factorization(f)
     for mesh in (f, nl):
         want = scheduled_plan(mesh)
-        _same_plan(mesh._plan(), want)
+        _same_plan(mesh._plan, want)
         want = plan_steps(*want, *mesh._coefficients())
-        assert len(mesh._steps()) == len(want)
-        for got, step in zip(mesh._steps(), want):
+        assert len(mesh._steps) == len(want)
+        for got, step in zip(mesh._steps, want):
             _same_step(got, step)
     # The same mesh through its files plans its own schedule, and gives the same bits.
     f_file = factorization_from_payload(json.loads(json.dumps(factorization_to_payload(f))))
     nl_file = netlist_from_payload(json.loads(json.dumps(netlist_to_payload(nl))))
-    assert f_file._plan()[0] is not None and nl_file._plan()[0] is not None
+    assert f_file._plan[0] is not None and nl_file._plan[0] is not None
     assert (f_file.depth, nl_file.depth) == (f.depth, nl.depth)
     v = np.random.default_rng(1).standard_normal(f.dim) + 0j
     assert np.array_equal(reconstruct(f), reconstruct(f_file))
@@ -381,8 +381,22 @@ def test_planned_mesh_is_never_scheduled_and_a_skipped_cell_drops_the_plan(monke
     reconstruct(f)
     transfer_matrix(nl)
     simulate(nl, np.eye(12)[:, 3])
-    assert nl._plan()[0] is f._plan()[0]
+    assert nl._plan[0] is f._plan[0]
     assert calls == ["schedule", "layer_plan"]
+
+
+def test_each_mesh_replays_its_plan_once(monkeypatch):
+    calls = []
+    real = devices.plan_steps
+    monkeypatch.setattr(devices, "plan_steps", lambda *args: calls.append(args) or real(*args))
+    for u in (random_unitary(9, 4), block_diagonal(np.random.default_rng(7), [3, 4, 2, 3])):
+        f = decompose(u)
+        nl = netlist_from_factorization(f)
+        v = np.eye(f.dim)[:, 2]
+        assert np.array_equal(reconstruct(f), reconstruct(f))
+        assert np.array_equal(transfer_matrix(nl), transfer_matrix(nl))
+        assert np.array_equal(simulate(nl, v), simulate(nl, v))
+    assert len(calls) == 4  # one factorization and one netlist per input
 
 
 def test_compile_checks_no_mixing_angle_again(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from multiport.contexts import builtin_graph, context_graph_to_payload, save_con
 from multiport.decompose import decompose, factorization_to_payload, save_factorization
 from multiport.interferometer import netlist_from_factorization, netlist_to_payload, save_netlist
 from multiport.numerics import matrix_to_payload, rows_equal_up_to_global_phase
+from multiport.observables import ObservableSpec, analyzer_unitary, identity_spec, predict_ports
+from multiport.states import preparation_unitary, state_operator
 
 import refdata
 
@@ -170,6 +173,24 @@ def test_complete_to_unitary_rejects_unnormalized():
         complete_to_unitary([1.0, 1.0], 0)
     with pytest.raises(ValueError):
         complete_to_unitary([1.0, 0.0], 5)
+
+
+HUGE = np.array([1e308, 0.0])  # its norm overflows
+HUGE_ENTRY_CALLS = {
+    "complete_to_unitary": (lambda: complete_to_unitary(HUGE, 0), "column must have unit norm"),
+    "preparation_unitary": (lambda: preparation_unitary(HUGE), "column must have unit norm"),
+    "state_operator": (lambda: state_operator(HUGE), "state must be normalized"),
+    "predict_ports": (lambda: predict_ports(analyzer_unitary([identity_spec(2)]), HUGE), "state must be normalized"),
+    "ObservableSpec": (lambda: ObservableSpec(2, rotation=[[1e308, 0.0], [0.0, 1.0]]), "rotation must be orthogonal"),
+}
+
+
+@pytest.mark.parametrize("call, message", HUGE_ENTRY_CALLS.values(), ids=HUGE_ENTRY_CALLS.keys())
+def test_huge_entry_is_refused_before_any_norm_or_product(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}"):
+            call()
 
 
 def test_equal_up_to_global_phase_detects_i():
