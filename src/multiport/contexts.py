@@ -46,8 +46,6 @@ __all__ = [
     "BUILTIN_GRAPHS",
     "save_context_graph",
     "load_context_graph",
-    "context_graph_to_payload",
-    "context_graph_from_payload",
 ]
 
 LINK_TOL = 1e-8

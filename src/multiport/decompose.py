@@ -40,13 +40,10 @@ from .numerics import _parts_within_one, as_matrix, read_int, read_json, unitari
 __all__ = [
     "TFactor",
     "Factorization",
-    "solve_t_layer",
     "decompose",
     "reconstruct",
     "save_factorization",
     "load_factorization",
-    "factorization_to_payload",
-    "factorization_from_payload",
 ]
 
 SKIP_TOL = 1e-14  # entries at or below this magnitude need no elimination

@@ -40,10 +40,6 @@ __all__ = [
     "BsParams",
     "MzParams",
     "t_matrix",
-    "schedule",
-    "layer_plan",
-    "plan_steps",
-    "apply_layers",
     "t_bs",
     "t_bs_product",
     "t_mz",

@@ -77,8 +77,6 @@ __all__ = [
     "render_schematic",
     "save_netlist",
     "load_netlist",
-    "netlist_to_payload",
-    "netlist_from_payload",
 ]
 
 _KINDS = ("bs", "ps", "diag")

@@ -14,8 +14,6 @@ from typing import Union
 import numpy as np
 
 __all__ = [
-    "as_matrix",
-    "as_vector",
     "kron",
     "dyadic",
     "unitarity_deviation",
@@ -23,13 +21,8 @@ __all__ = [
     "random_unitary",
     "complete_to_unitary",
     "equal_up_to_global_phase",
-    "rows_equal_up_to_global_phase",
     "save_matrix",
     "load_matrix",
-    "matrix_to_payload",
-    "matrix_from_payload",
-    "read_json",
-    "write_json",
 ]
 
 ArrayLike = Union[np.ndarray, list, tuple]
@@ -74,12 +67,14 @@ def unitarity_deviation(m: ArrayLike) -> float:
     """Max-norm distance of ``m``'s Gram matrix from the identity.
 
     Returns ``max |m^dagger m - I|`` entrywise; 0 for an exactly unitary
-    matrix.  Raises ValueError for non-square input.
+    matrix.  Raises ValueError for non-square or empty input.
     """
     a = as_matrix(m)
     n, c = a.shape
     if n != c:
         raise ValueError(f"unitarity is defined for square matrices, got {n}x{c}")
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
     gram = a.conj().T @ a
     return float(np.max(np.abs(gram - np.eye(n))))
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import _is_unit, _parts_within_one, as_matrix, as_vector, kron
+from .numerics import _is_unit, _parts_within_one, as_matrix, as_vector, kron, read_int
 
 __all__ = [
     "ObservableSpec",
@@ -38,7 +38,6 @@ __all__ = [
     "predict_ports",
     "verify_eigenbasis",
     "parse_obs_spec",
-    "ORDERINGS",
 ]
 
 ORDERINGS = ("reversed_lex", "forward_lex")
@@ -68,6 +67,7 @@ class ObservableSpec:
     labels: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", read_int(self.dim))
         if self.dim not in (2, 3):
             raise ValueError(f"particle dimension must be 2 or 3, got {self.dim}")
         if self.rotation is not None:

@@ -16,9 +16,6 @@ import numpy as np
 from .numerics import _is_unit, as_vector, complete_to_unitary, dyadic, load_matrix
 
 __all__ = [
-    "RSQRT2",
-    "RSQRT3",
-    "RSQRT6",
     "bell_state",
     "qutrit2_singlet",
     "qutrit3_singlet",

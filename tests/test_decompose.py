@@ -26,6 +26,12 @@ from multiport.decompose import factorization_from_payload, factorization_to_pay
 import refdata
 
 
+@pytest.mark.parametrize("check", [decompose, unitarity_deviation])
+def test_an_empty_matrix_is_refused_with_the_package_message(check):
+    with pytest.raises(ValueError, match=r"^dimension must be >= 1$"):
+        check(np.zeros((0, 0)))
+
+
 def residual(a, b, omega, phi):
     """The elimination equation the solver is meant to null."""
     return np.abs(np.sin(omega) * a + np.exp(-1j * phi) * np.cos(omega) * b)

@@ -101,6 +101,16 @@ def test_observable_spec_validation():
         ObservableSpec(dim=2, rotation=np.ones((2, 2)))
 
 
+def test_observable_spec_reads_dim_as_an_integer():
+    for bad in (2.0, True):
+        with pytest.raises(TypeError, match="integer"):
+            ObservableSpec(dim=bad)
+        with pytest.raises(TypeError, match="integer"):
+            identity_spec(bad)
+    spec = ObservableSpec(dim=np.int64(3))
+    assert spec.dim == 3 and type(spec.dim) is int
+
+
 def test_observable_spec_rotation_and_label_rules():
     with pytest.raises(ValueError, match=r"^rotation shape \(3, 3\) does not match dim 2$"):
         ObservableSpec(dim=2, rotation=np.eye(3))
