@@ -40,8 +40,8 @@ from .interferometer import (
     simulate,
     transfer_matrix,
 )
-from .numerics import equal_up_to_global_phase, load_matrix, save_matrix, write_json
-from .observables import analyzer_unitary, parse_obs_spec, predict_ports
+from .numerics import equal_up_to_global_phase, load_matrix, save_matrix, write_json, write_text
+from .observables import ORDERINGS, analyzer_unitary, parse_obs_spec, predict_ports
 from .states import STATE_NAMES, preparation_unitary, resolve_state
 
 __all__ = ["main", "build_parser"]
@@ -62,19 +62,13 @@ def _emit(record: dict, lines: list[str]) -> None:
 
 
 _STATE_HELP = f"state spec: {', '.join(STATE_NAMES)}, or @file.json"
+_ORDERING_ALIASES = {"reversed": "reversed_lex", "forward": "forward_lex"}
 
 
 def _wrote(path, key: str, lines: list[str], record: dict) -> None:
     """Report the file written at ``path``: a ``wrote`` line, and the path under ``key``."""
     lines.append(f"wrote {path}")
     record[key] = path
-
-
-def _write_text(path, text: str, key: str, lines: list[str], record: dict) -> None:
-    """Write ``text`` to ``path`` and report the file under ``key``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    _wrote(path, key, lines, record)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,9 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pred.add_argument(
         "--ordering",
-        default="reversed_lex",
-        choices=["reversed_lex", "forward_lex", "reversed", "forward"],
-        help="analyzer row order (default reversed_lex)",
+        default=ORDERINGS[0],
+        choices=ORDERINGS + tuple(_ORDERING_ALIASES),
+        help="analyzer row order (default %(default)s)",
     )
     p_pred.add_argument("--out", dest="outfile", help="also write the distribution as JSON")
     p_pred.set_defaults(func=_cmd_predict)
@@ -182,7 +176,8 @@ def _cmd_decompose(args) -> tuple[dict, list[str], str | None]:
     if misses:
         return record, lines, f"a written file does not reproduce the input within {FILE_TOL:g}: {'; '.join(misses)}"
     if args.svg:
-        _write_text(args.svg, render_schematic(net, format="svg"), "svg", lines, record)
+        write_text(args.svg, render_schematic(net, format="svg"))
+        _wrote(args.svg, "svg", lines, record)
     return record, lines, None
 
 
@@ -216,11 +211,9 @@ def _cmd_prepare(args) -> tuple[dict, list[str], str | None]:
         save_matrix(args.unitary, u)
         _wrote(args.unitary, "unitary", lines, record)
     if args.svg:
-        _write_text(args.svg, render_schematic(net, format="svg"), "svg", lines, record)
+        write_text(args.svg, render_schematic(net, format="svg"))
+        _wrote(args.svg, "svg", lines, record)
     return record, lines, None
-
-
-_ORDERING_ALIASES = {"reversed": "reversed_lex", "forward": "forward_lex"}
 
 
 def _cmd_predict(args) -> tuple[dict, list[str], str | None]:
@@ -296,7 +289,8 @@ def _cmd_contexts(args) -> tuple[dict, list[str], str | None]:
     dot = greechie_dot(graph)
     record["dot"] = dot
     if args.dot:
-        _write_text(args.dot, dot, "dot_file", lines, record)
+        write_text(args.dot, dot)
+        _wrote(args.dot, "dot_file", lines, record)
     else:
         lines.append(dot.rstrip("\n"))
     return record, lines, None

@@ -317,16 +317,6 @@ def greechie_dot(graph: ContextGraph) -> str:
         raise ValueError(
             "cannot draw an invalid context graph: " + "; ".join(report.violations)
         )
-    return _dot_text(graph)
-
-
-def _quoted(s: str) -> str:
-    """A DOT string literal: ``\\`` escaped first, then ``"``."""
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _dot_text(graph: ContextGraph) -> str:
-    """DOT text of a graph already known to be valid."""
     labels = sorted({r.label for ctx in graph.contexts for r in ctx.rays})
     lines = ["graph contexts {"]
     for lab in labels:
@@ -338,6 +328,11 @@ def _dot_text(graph: ContextGraph) -> str:
             lines.append(f"  {_quoted(a)} -- {_quoted(b)} [context={name}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _quoted(s: str) -> str:
+    """A DOT string literal: ``\\`` escaped first, then ``"``."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 BUILTIN_GRAPHS = ("two-tripods", "three-chain")

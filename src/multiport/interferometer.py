@@ -79,9 +79,9 @@ __all__ = [
     "load_netlist",
 ]
 
-_KINDS = ("bs", "ps", "diag")
 # The fields each kind takes; those that default to None are required.
 _TAKES = {"bs": ("p", "q", "omega", "alpha", "beta", "phi"), "ps": ("p", "phase"), "diag": ("phases",)}
+_KINDS = tuple(_TAKES)
 _HALF_PI = 0.5 * math.pi
 
 

@@ -205,11 +205,15 @@ def rows_equal_up_to_global_phase(a: ArrayLike, b: ArrayLike, tol: float = 1e-10
 # --- JSON persistence ---------------------------------------------------
 
 
-def write_json(path, payload) -> None:
-    """Write ``payload`` as one JSON text; ``json.dumps`` runs json's C encoder, ``json.dump`` does not."""
-    text = json.dumps(payload)
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8: the package's one file writer."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as one JSON text; ``json.dumps`` runs json's C encoder, ``json.dump`` does not."""
+    write_text(path, json.dumps(payload))
 
 
 def read_json(path, from_payload):

@@ -41,15 +41,14 @@ __all__ = [
 ]
 
 ORDERINGS = ("reversed_lex", "forward_lex")
+_PARTICLE_DIMS = (2, 3)  # the dimensions a particle may have
 
 
 def default_labels(dim: int) -> tuple[float, ...]:
-    """Default eigenvalue labels: (1, 0) for dim 2, (1, 0, -1) for dim 3."""
-    if dim == 2:
-        return (1.0, 0.0)
-    if dim == 3:
-        return (1.0, 0.0, -1.0)
-    raise ValueError(f"no default labels for dimension {dim}")
+    """Default eigenvalue labels 1, 0, -1, ... of a particle: (1, 0) for dim 2, (1, 0, -1) for dim 3."""
+    if dim not in _PARTICLE_DIMS:
+        raise ValueError(f"no default labels for dimension {dim}")
+    return (1.0, 0.0, -1.0)[: int(dim)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +67,7 @@ class ObservableSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", read_int(self.dim))
-        if self.dim not in (2, 3):
+        if self.dim not in _PARTICLE_DIMS:
             raise ValueError(f"particle dimension must be 2 or 3, got {self.dim}")
         if self.rotation is not None:
             r = as_matrix(self.rotation)
@@ -147,11 +146,17 @@ class TensorObservable:
         return tuple(p.dim for p in self.parts)
 
 
-def tensor_observable(parts) -> TensorObservable:
-    """Kronecker product of the slot observables, in the given order."""
+def _slots(parts) -> tuple[ObservableSpec, ...]:
+    """The slots of a product observable, 1 to 3 of them."""
     parts = tuple(parts)
     if not 1 <= len(parts) <= 3:
         raise ValueError(f"expected 1..3 tensor slots, got {len(parts)}")
+    return parts
+
+
+def tensor_observable(parts) -> TensorObservable:
+    """Kronecker product of the slot observables, in the given order."""
+    parts = _slots(parts)
     m = reduce(kron, [rotated_observable(p) for p in parts])
     return TensorObservable(parts=parts, matrix=m, dim=m.shape[0])
 
@@ -175,10 +180,7 @@ def analyzer_unitary(parts, ordering: str = "reversed_lex") -> AnalyzerUnitary:
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}; choose from {ORDERINGS}")
-    parts = tuple(parts)
-    if not 1 <= len(parts) <= 3:
-        raise ValueError(f"expected 1..3 tensor slots, got {len(parts)}")
-
+    parts = _slots(parts)
     matrix = reduce(kron, [p.rotation_or_identity() for p in parts]).conj()
     outcome = list(product(*[p.label_values() for p in parts]))  # ascending lex
     if ordering == "reversed_lex":
@@ -296,7 +298,7 @@ def parse_obs_spec(text: str, state_dim: int) -> tuple[ObservableSpec, ...]:
     segments = text.split("|")
     n_parts = len(segments)
     dim = round(state_dim ** (1.0 / n_parts))
-    if dim**n_parts != state_dim or dim not in (2, 3):
+    if dim**n_parts != state_dim or dim not in _PARTICLE_DIMS:
         raise ValueError(
             f"cannot split state dimension {state_dim} into {n_parts} particles of equal "
             "dimension 2 or 3"

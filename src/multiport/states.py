@@ -9,7 +9,7 @@ with 0-based i, j, k.
 from __future__ import annotations
 
 from functools import partial
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -64,26 +64,18 @@ def qutrit2_singlet() -> np.ndarray:
     return v
 
 
-_PERM_SIGN = {
-    (0, 1, 2): 1.0,
-    (1, 2, 0): 1.0,
-    (2, 0, 1): 1.0,
-    (0, 2, 1): -1.0,
-    (2, 1, 0): -1.0,
-    (1, 0, 2): -1.0,
-}
-
-
 def qutrit3_singlet() -> np.ndarray:
     """Three-qutrit singlet as a 27-vector: -(1/sqrt6) * Levi-Civita.
 
     Totally antisymmetric; the six nonzero amplitudes are +-1/sqrt6 at the
-    permutations of (0, 1, 2).
+    permutations of (0, 1, 2), each signed by the parity of its inversions.
+    The sign goes into each entry's scale: negating the whole vector would
+    turn its zeros into -0.0.
     """
     v = np.zeros(27, dtype=np.complex128)
-    for perm in permutations((0, 1, 2)):
-        i, j, k = perm
-        v[9 * i + 3 * j + k] = -_PERM_SIGN[perm] * RSQRT6
+    for i, j, k in permutations((0, 1, 2)):
+        inversions = sum(a > b for a, b in combinations((i, j, k), 2))
+        v[9 * i + 3 * j + k] = (-1) ** (inversions + 1) * RSQRT6
     return v
 
 
