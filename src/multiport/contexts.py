@@ -30,7 +30,15 @@ from functools import cached_property
 import numpy as np
 
 from .devices import _Rows, _trusted
-from .numerics import _unit_rows, as_vector, read_json, rows_equal_up_to_global_phase, write_json
+from .numerics import (
+    _unit_rows,
+    as_vector,
+    read_array,
+    read_complex,
+    read_json,
+    rows_equal_up_to_global_phase,
+    write_json,
+)
 from .observables import ObservableSpec
 
 __all__ = [
@@ -390,7 +398,7 @@ def context_graph_to_payload(graph: ContextGraph) -> list:
 def context_graph_from_payload(payload) -> ContextGraph:
     if not isinstance(payload, list):
         raise ValueError("context graph payload must be a list of contexts")
-    total = sum(len(item["rays"]) for item in payload)
+    total = sum(len(read_array(item["rays"])) for item in payload)
     if total > MAX_FILE_RAYS:
         raise ValueError(f"context graph of {total} rays exceeds the limit of {MAX_FILE_RAYS}")
     contexts = []
@@ -398,10 +406,7 @@ def context_graph_from_payload(payload) -> ContextGraph:
         rays = tuple(
             Ray(
                 label=str(rr["label"]),
-                vector=np.array(
-                    [complex(float(re), float(im)) for re, im in rr["vector"]],
-                    dtype=np.complex128,
-                ),
+                vector=np.array([read_complex(z) for z in read_array(rr["vector"])], dtype=np.complex128),
             )
             for rr in item["rays"]
         )

@@ -35,7 +35,16 @@ from .devices import (
     _trusted,
     apply_layers,
 )
-from .numerics import _parts_within_one, as_matrix, read_int, read_json, unitarity_deviation, write_json
+from .numerics import (
+    _parts_within_one,
+    as_matrix,
+    read_array,
+    read_int,
+    read_json,
+    read_real,
+    unitarity_deviation,
+    write_json,
+)
 
 __all__ = [
     "TFactor",
@@ -228,7 +237,7 @@ def factorization_from_payload(payload: dict) -> Factorization:
         raise ValueError(f"factorization dim {dim} exceeds the limit of {MAX_FILE_DIM}")
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    items = payload["factors"]
+    items = read_array(payload["factors"])
     limit = dim * (dim - 1) // 2
     if len(items) > limit:
         raise ValueError(f"{len(items)} factors exceed the n(n-1)/2 = {limit} bound")
@@ -237,9 +246,9 @@ def factorization_from_payload(payload: dict) -> Factorization:
     bad = np.flatnonzero((p < 1) | (p >= q) | (q > dim))
     if bad.size:
         raise ValueError(f"file ports ({p[bad[0]]}, {q[bad[0]]}) invalid for dim {dim} (1-based)")
-    omega = _checked_mixings(np.array([float(item["omega"]) for item in items]), math.pi / 2)
-    phi = _checked_phases(np.array([float(item["phi"]) for item in items]))
-    diagonal = np.array([float(d) for d in payload["diagonal"]])
+    omega = _checked_mixings(np.array([read_real(item["omega"]) for item in items]), math.pi / 2)
+    phi = _checked_phases(np.array([read_real(item["phi"]) for item in items]))
+    diagonal = np.array([read_real(d) for d in read_array(payload["diagonal"])])
     if diagonal.size != dim:
         raise ValueError(f"diagonal length {diagonal.size} does not match dim {dim}")
     if not np.isfinite(diagonal).all():

@@ -66,7 +66,7 @@ from .devices import (
     omega_from_transmission,
     transmission,
 )
-from .numerics import as_vector, read_int, read_json, write_json
+from .numerics import as_vector, read_array, read_int, read_json, read_real, write_json
 
 __all__ = [
     "Element",
@@ -110,7 +110,7 @@ class Element:
         if extra:
             raise ValueError(f"{self.kind} element takes no {', '.join(extra)}")
         if self.kind == "diag":
-            object.__setattr__(self, "phases", tuple(float(x) for x in self.phases))
+            object.__setattr__(self, "phases", tuple(read_real(x) for x in read_array(self.phases)))
             dim = len(self.phases) or 1
         else:
             dim = max(self.p, self.q or 0) + 1
@@ -143,8 +143,8 @@ class Netlist(_Mesh):
     elements: tuple[Element, ...]
 
     def __post_init__(self):
-        els = tuple(self.elements)
-        read = Netlist._from_columns(self.dim, **_read_elements(self.dim, [vars(e) for e in els], 0))
+        dim, els = read_int(self.dim), tuple(self.elements)
+        read = Netlist._from_columns(dim, **_read_elements(dim, [vars(e) for e in els], 0))
         vars(self).update(vars(read), elements=els)
 
     def _walk(self, base: int, seq):
@@ -191,18 +191,19 @@ def _read_elements(dim: int, items, base: int) -> dict:
     if dim < 1:
         raise ValueError("netlist dimension must be >= 1")
     ports, angles, rows = [], [], []  # kind, p, q of each element, flat; its angles; each diag's phases
-    for item in items:
+    for item in read_array(items):
         k = item.get("kind")
         if k == "bs":
             ports += (TWO, read_int(item["p"]), read_int(item["q"]))
-            omega = item["omega"] if "omega" in item else omega_from_transmission(item["T"])
+            omega = read_real(item["omega"]) if "omega" in item else omega_from_transmission(read_real(item["T"]))
             get = item.get
-            angles.append((float(omega), float(get("alpha", 0.0)), float(get("beta", 0.0)), float(get("phi", 0.0))))
+            alpha, beta, phi = read_real(get("alpha", 0.0)), read_real(get("beta", 0.0)), read_real(get("phi", 0.0))
+            angles.append((omega, alpha, beta, phi))
         elif k == "ps":
             ports += (ONE, read_int(item["p"]), base - 1)
-            angles.append((float(item["phase"]), 0.0, 0.0, 0.0))
+            angles.append((read_real(item["phase"]), 0.0, 0.0, 0.0))
         elif k == "diag":
-            row = [float(x) for x in item["phases"]]
+            row = [read_real(x) for x in read_array(item["phases"])]
             if len(row) != dim:
                 raise ValueError(f"diag element has {len(row)} phases, expected {dim}")
             rows.append(row)

@@ -6,6 +6,7 @@ The implementations favor readability over sparsity tricks.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import operator
@@ -94,6 +95,7 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
     Ginibre matrix -> QR, with the R-diagonal phase fix that makes the
     distribution Haar and the output independent of LAPACK sign choices.
     """
+    n = read_int(n)
     if n < 1:
         raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
@@ -142,6 +144,7 @@ def complete_to_unitary(column: ArrayLike, position: int) -> np.ndarray:
     """
     v = as_vector(column)
     n = v.size
+    position = read_int(position)
     if not 0 <= position < n:
         raise ValueError(f"column position {position} out of range for dimension {n}")
     if not _is_unit(v):
@@ -246,16 +249,37 @@ def matrix_to_payload(m: ArrayLike) -> dict:
 
 
 def read_int(value) -> int:
-    """A count, dim or port read from a file: a JSON integer, so ``true``, ``2.0`` and ``"2"`` raise TypeError."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
+    """A count, dim or port, from a file or a library caller: ``True``, ``2.0`` and ``"2"`` raise TypeError."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise TypeError(f"expected an integer, got {type(value).__name__}")
+
+
+def read_real(value) -> float:
+    """A real read from a file: a JSON number, so ``true`` and ``"0.5"`` raise TypeError."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def read_array(value):
+    """An array read from a file: a JSON array, so a string or an object (its characters or keys) raises TypeError."""
+    if isinstance(value, (str, dict)):
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return value
+
+
+def read_complex(pair) -> complex:
+    """An entry ``[re, im]`` read from a file, by the two rules above."""
+    re, im = read_array(pair)
+    return complex(read_real(re), read_real(im))
 
 
 def matrix_from_payload(payload: dict) -> np.ndarray:
     rows = read_int(payload["rows"])
     cols = read_int(payload["cols"])
-    entries = payload["entries"]
+    entries = read_array(payload["entries"])
     if rows < 1 or cols < 1:
         raise ValueError("matrix payload must have positive shape")
     if len(entries) != rows * cols:
@@ -264,8 +288,7 @@ def matrix_from_payload(payload: dict) -> np.ndarray:
         )
     flat = np.empty(rows * cols, dtype=np.complex128)
     for i, pair in enumerate(entries):
-        re, im = pair
-        flat[i] = complex(float(re), float(im))
+        flat[i] = read_complex(pair)
     return flat.reshape(rows, cols)
 
 

@@ -113,8 +113,8 @@ def rotation_plane(dim: int, axis_pair: tuple[int, int], theta: float) -> np.nda
     The 1-based axes follow the usual R12/R23 naming: rotation_plane(3,
     (1, 2), t) rotates the first two coordinates and leaves the third alone.
     """
-    a, b = axis_pair
-    a, b = int(a), int(b)
+    dim = read_int(dim)
+    a, b = map(read_int, axis_pair)
     if not 1 <= a < b <= dim:
         raise ValueError(f"axes ({a}, {b}) invalid: need 1 <= a < b <= {dim}")
     r = np.eye(dim, dtype=np.complex128)

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .numerics import _is_unit, as_vector, complete_to_unitary, dyadic, load_matrix
+from .numerics import _is_unit, as_vector, complete_to_unitary, dyadic, load_matrix, read_int
 
 __all__ = [
     "bell_state",
@@ -50,6 +50,7 @@ def bell_state(k: int) -> np.ndarray:
     1: (e11 + e22)/sqrt2   2: (e11 - e22)/sqrt2
     3: (e12 + e21)/sqrt2   4: (e12 - e21)/sqrt2 (the two-qubit singlet)
     """
+    k = read_int(k)
     if k not in _BELL_PATTERNS:
         raise ValueError(f"Bell state index must be 1..4, got {k!r}")
     return RSQRT2 * np.array(_BELL_PATTERNS[k], dtype=np.complex128)

@@ -797,3 +797,8 @@ def test_context_of_rejects_a_non_finite_rotation_entry_as_ray_does(bad):
     r[0, 0] = 2.0  # an earlier row off the unit norm is named first, as ray by ray
     with pytest.raises(ValueError, match="^ray 'a' must have unit norm$"):
         context_of(spec, "abc")
+
+
+def test_context_of_needs_one_name_per_ray():
+    with pytest.raises(ValueError, match="^need 3 ray names, got 2$"):
+        context_of(identity_spec(3), ("a", "b"))

@@ -14,6 +14,7 @@ import copy
 import io
 import json
 import os
+import re
 import warnings
 from unittest import mock
 
@@ -22,7 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiport import (
+    Element,
     Factorization,
+    Netlist,
     builtin_graph,
     decompose,
     load_factorization,
@@ -126,3 +129,68 @@ def test_garbled_file_fails_with_one_error_line_and_a_failure_record(name, workd
     if code:
         failed = json.loads(out.splitlines()[-1])
         assert set(failed) == FAILURE_KEYS and failed["exit_code"] == code
+
+
+def _with(payload, path, value):
+    """A copy of ``payload`` with the node at ``path`` set to ``value``."""
+    payload = copy.deepcopy(payload)
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return payload
+
+
+EYE2 = matrix_to_payload(np.eye(2))
+NETLIST2 = netlist_to_payload(netlist_from_factorization(decompose(random_unitary(2, 2))))  # a bs, then a diag
+FACTORIZATION2 = factorization_to_payload(decompose(random_unitary(2, 3)))
+TRIPODS = FORMATS["graph"][0]
+
+# A bool or a string where a real belongs, a string or an object where an array belongs.  Read
+# with float() and iteration, each of these files is a valid one: true is 1, "10" is the pair
+# [1, 0], and {"1": 0, "2": 0} is the phases [1, 2].
+WRONG_TYPES = {
+    "state-entry-string": ("state", {"rows": 2, "cols": 1, "entries": ["10", "00"]}, "an array, got str"),
+    "matrix-real-true": ("matrix", _with(EYE2, ("entries", 0), [True, False]), "a number, got bool"),
+    "matrix-real-string": ("matrix", _with(EYE2, ("entries", 1), ["0", 0]), "a number, got str"),
+    "netlist-omega-true": ("netlist", _with(NETLIST2, ("elements", 0, "omega"), True), "a number, got bool"),
+    "netlist-alpha-string": ("netlist", _with(NETLIST2, ("elements", 0, "alpha"), "0.5"), "a number, got str"),
+    "netlist-phases-string": ("netlist", _with(NETLIST2, ("elements", 1, "phases"), "12"), "an array, got str"),
+    "netlist-phases-object": (
+        "netlist", _with(NETLIST2, ("elements", 1, "phases"), {"1": 0, "2": 0}), "an array, got dict"
+    ),
+    "graph-real-true": ("graph", _with(TRIPODS, (0, "rays", 0, "vector", 0), [True, 0]), "a number, got bool"),
+    "graph-real-string": ("graph", _with(TRIPODS, (0, "rays", 0, "vector", 1), ["0", 0]), "a number, got str"),
+    "factorization-omega-string": (
+        "factorization", _with(FACTORIZATION2, ("factors", 0, "omega"), "0.3"), "a number, got str"
+    ),
+    "factorization-phi-false": (
+        "factorization", _with(FACTORIZATION2, ("factors", 0, "phi"), False), "a number, got bool"
+    ),
+    "factorization-diagonal-string": (
+        "factorization", _with(FACTORIZATION2, ("diagonal",), "00"), "an array, got str"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_TYPES)
+def test_a_bool_or_string_where_a_number_or_an_array_belongs_exits_4(name, workdir):
+    fmt, payload, what = WRONG_TYPES[name]
+    path = workdir / f"{name}.json"
+    path.write_text(json.dumps(payload))
+    message = f"TypeError: expected {what})"
+    argv = FORMATS[fmt][1]
+    if argv is None:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_factorization(path)
+        return
+    code, _, err = _run([a.format(f=path, d=workdir) for a in argv], json_mode=False)
+    assert code == 4 and err.endswith(f"{message}\n")
+
+
+def test_numpy_scalars_and_tuples_still_build_elements():
+    el = Element("bs", np.int64(0), np.int64(1), omega=np.float64(0.3), alpha=np.float32(0.5), phi=1)
+    assert (el.omega, el.alpha, el.phi) == (0.3, float(np.float32(0.5)), 1.0)
+    diag = Element("diag", phases=(np.float64(0.25), 0))
+    assert diag.phases == (0.25, 0.0)
+    assert Netlist(2, (el, diag)).kind.tolist() == [0, 2]  # a bs, then a diag

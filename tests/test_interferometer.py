@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -350,3 +351,19 @@ def test_netlist_file_dim_is_capped(tmp_path):
     path.write_text(json.dumps({"dim": 10**12, "elements": []}))
     with pytest.raises(ValueError, match="dim"):
         load_netlist(path)
+
+
+def test_netlist_reads_its_dimension_as_an_integer():
+    for bad in (2.0, True):
+        with pytest.raises(TypeError, match=r"^expected an integer, got (bool|float)$"):
+            Netlist(dim=bad, elements=())
+    assert Netlist(dim=np.int64(2), elements=()).dim == 2
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"kind": "mirror"}, "unknown element kind 'mirror'; expected one of ('bs', 'ps', 'diag')"),
+    ({"kind": "bs", "p": 0, "q": 1}, "bs element needs p, q, omega"),
+], ids=["unknown-kind", "missing-field"])
+def test_element_refusals_name_their_fault(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Element(**kwargs)

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from multiport import (
 from multiport.contexts import builtin_graph, context_graph_to_payload, save_context_graph
 from multiport.decompose import decompose, factorization_to_payload, save_factorization
 from multiport.interferometer import netlist_from_factorization, netlist_to_payload, save_netlist
-from multiport.numerics import matrix_to_payload, rows_equal_up_to_global_phase
+from multiport.numerics import as_matrix, as_vector, matrix_to_payload, rows_equal_up_to_global_phase
 from multiport.observables import ObservableSpec, analyzer_unitary, identity_spec, predict_ports
 from multiport.states import preparation_unitary, state_operator
 
@@ -247,3 +248,33 @@ def test_every_file_writer_writes_the_json_dumps_text(tmp_path):
         path = tmp_path / f"{save.__name__}.json"
         save(path, obj)
         assert path.read_bytes() == json.dumps(to_payload(obj)).encode()
+
+
+def test_integer_parameters_refuse_bools_and_floats():
+    v = [0.6, 0.8, 0.0]
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError, match=r"^expected an integer, got (bool|float)$"):
+            complete_to_unitary(v, bad)
+    for bad in (True, 2.0):
+        with pytest.raises(TypeError, match=r"^expected an integer, got (bool|float)$"):
+            random_unitary(bad, 1)
+    assert unitarity_deviation(complete_to_unitary(v, np.int64(1))) <= 1e-15
+    assert random_unitary(np.int64(2), 1).shape == (2, 2)
+
+
+NUMERICS_REFUSALS = {
+    "as_matrix-vector": (lambda: as_matrix([1.0, 0.0]), "expected a matrix, got an array of ndim=1"),
+    "as_matrix-nan": (lambda: as_matrix([[np.nan]]), "matrix entries must be finite"),
+    "as_vector-matrix": (lambda: as_vector(np.eye(2)), "expected a vector, got an array of shape (2, 2)"),
+    "commutator-shapes": (
+        lambda: commutator(np.eye(2), np.eye(3)), "commutator needs equal square shapes, got (2, 2) and (3, 3)"
+    ),
+    "random_unitary-0": (lambda: random_unitary(0, 1), "dimension must be >= 1"),
+    "phase-shapes": (lambda: equal_up_to_global_phase(np.ones(2), np.ones(3)), "shape mismatch: (2,) vs (3,)"),
+}
+
+
+@pytest.mark.parametrize("call, message", NUMERICS_REFUSALS.values(), ids=NUMERICS_REFUSALS.keys())
+def test_numerics_refusals_name_their_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiport import (
+    AnalyzerUnitary,
     ObservableSpec,
     analyzer_unitary,
     bell_state,
@@ -366,3 +367,35 @@ def test_parse_obs_spec_errors():
         parse_obs_spec("spin=up", state_dim=2)
     with pytest.raises(ValueError):
         parse_obs_spec("id|id", state_dim=5)
+
+
+def test_rotation_plane_reads_axes_and_dimension_as_integers():
+    for dim, axes in ((3, (1.5, 2)), (3, (True, 2)), (2.0, (1, 2))):
+        with pytest.raises(TypeError, match=r"^expected an integer, got (bool|float)$"):
+            rotation_plane(dim, axes, 0.3)
+    np.testing.assert_array_equal(rotation_plane(np.int64(3), (np.int64(1), 2), 0.3), rotation_plane(3, (1, 2), 0.3))
+
+
+def test_default_labels_refuse_other_dimensions():
+    assert default_labels(2.0) == (1.0, 0.0)
+    with pytest.raises(ValueError, match="^no default labels for dimension 4$"):
+        default_labels(4)
+
+
+def test_tensor_observable_dims_are_the_slot_dimensions():
+    assert tensor_observable([spec2(), identity_spec(3)]).dims == (2, 3)
+
+
+def test_predict_ports_refuses_a_non_unitary_analyzer():
+    an = AnalyzerUnitary(matrix=2.0 * np.eye(2), outcome_labels=((1.0,), (0.0,)), ordering="forward_lex", dims=(2,))
+    with pytest.raises(ValueError, match=r"^probabilities sum to 4\.0, expected 1 within 1e-10$"):
+        predict_ports(an, [1.0, 0.0])
+
+
+def test_verify_eigenbasis_refuses_another_size_and_other_labels():
+    obs = tensor_observable([spec2()])
+    with pytest.raises(ValueError, match=r"^observable dim \(2, 2\) does not match analyzer \(4, 4\)$"):
+        verify_eigenbasis(obs, analyzer_unitary([spec2(), spec2()]))
+    with pytest.raises(ValueError, match=r"^diagonal does not match the analyzer's outcome-label products "
+                                         r"\(max err 1\.000e\+00\)$"):
+        verify_eigenbasis(obs, analyzer_unitary([spec2((1.0, 0.0))]))

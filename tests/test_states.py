@@ -181,3 +181,19 @@ def test_state_file_entry_cap(tmp_path):
     save_matrix(path, psi)
     with pytest.raises(ValueError, match="1025 entries exceeds the limit of 1024"):
         resolve_state(f"@{path}")
+
+
+def test_state_integer_parameters_refuse_bools_and_floats():
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError, match=r"^expected an integer, got (bool|float)$"):
+            bell_state(bad)
+        with pytest.raises(TypeError, match=r"^expected an integer, got (bool|float)$"):
+            preparation_unitary(np.array([0.6, 0.8, 0.0]), bad)
+    np.testing.assert_array_equal(bell_state(np.int64(4)), bell_state(4))
+
+
+def test_state_file_with_two_columns_is_refused(tmp_path):
+    path = tmp_path / "two.json"
+    save_matrix(path, np.eye(2))
+    with pytest.raises(ValueError, match=r"^state file must hold a single column, got \(2, 2\)$"):
+        resolve_state(f"@{path}")
