@@ -33,7 +33,8 @@ which holds every rule:
   reader's range (0 to dim - 1 in memory, 1 to dim in a file);
 * a ``bs`` mixing angle lies in [0, pi/2] (an overshoot within 1e-12 is
   clamped);
-* every angle and phase is finite;
+* every angle and phase is a finite number, not a bool or a string, and
+  every list of them an array;
 * a ``bs``'s phases alpha, beta, phi are wrapped to (-pi, pi], as in
   ``BsParams``;
 * each ``diag`` has exactly ``dim`` phases.

@@ -6,7 +6,6 @@ The implementations favor readability over sparsity tricks.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import operator
@@ -251,8 +250,10 @@ def matrix_to_payload(m: ArrayLike) -> dict:
 def read_int(value) -> int:
     """A count, dim or port, from a file or a library caller: ``True``, ``2.0`` and ``"2"`` raise TypeError."""
     if not isinstance(value, bool):
-        with contextlib.suppress(TypeError):
+        try:
             return operator.index(value)
+        except TypeError:
+            pass
     raise TypeError(f"expected an integer, got {type(value).__name__}")
 
 

@@ -23,9 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiport import (
-    Element,
     Factorization,
-    Netlist,
     builtin_graph,
     decompose,
     load_factorization,
@@ -187,10 +185,3 @@ def test_a_bool_or_string_where_a_number_or_an_array_belongs_exits_4(name, workd
     code, _, err = _run([a.format(f=path, d=workdir) for a in argv], json_mode=False)
     assert code == 4 and err.endswith(f"{message}\n")
 
-
-def test_numpy_scalars_and_tuples_still_build_elements():
-    el = Element("bs", np.int64(0), np.int64(1), omega=np.float64(0.3), alpha=np.float32(0.5), phi=1)
-    assert (el.omega, el.alpha, el.phi) == (0.3, float(np.float32(0.5)), 1.0)
-    diag = Element("diag", phases=(np.float64(0.25), 0))
-    assert diag.phases == (0.25, 0.0)
-    assert Netlist(2, (el, diag)).kind.tolist() == [0, 2]  # a bs, then a diag

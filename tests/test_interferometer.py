@@ -367,3 +367,11 @@ def test_netlist_reads_its_dimension_as_an_integer():
 def test_element_refusals_name_their_fault(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Element(**kwargs)
+
+
+def test_numpy_scalars_and_tuples_still_build_elements():
+    el = Element("bs", np.int64(0), np.int64(1), omega=np.float64(0.3), alpha=np.float32(0.5), phi=1)
+    assert (el.omega, el.alpha, el.phi) == (0.3, float(np.float32(0.5)), 1.0)
+    diag = Element("diag", phases=(np.float64(0.25), 0))
+    assert diag.phases == (0.25, 0.0)
+    assert Netlist(2, (el, diag)).kind.tolist() == [0, 2]  # a bs, then a diag

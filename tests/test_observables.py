@@ -141,8 +141,10 @@ def test_observable_spec_keeps_a_read_only_copy_of_its_rotation():
 
 
 def test_default_labels():
-    assert default_labels(2) == (1.0, 0.0)
+    assert default_labels(2) == default_labels(2.0) == (1.0, 0.0)
     assert default_labels(3) == (1.0, 0.0, -1.0)
+    with pytest.raises(ValueError, match="^no default labels for dimension 4$"):
+        default_labels(4)
 
 
 # --- tensor observables ------------------------------------------------------
@@ -175,7 +177,7 @@ def test_tensor_three_slots():
         ObservableSpec(dim=3, rotation=refdata.ROT3_23_Q,
                        labels=(1.0, 0.0, -1.0)),
     ])
-    assert obs.dim == 27
+    assert obs.dim == 27 and obs.dims == (3, 3, 3)
     assert np.max(np.abs(obs.matrix - obs.matrix.conj().T)) <= 1e-12
 
 
@@ -313,6 +315,10 @@ def test_prediction_input_validation():
         predict_ports(an, np.array([1.0, 0.0]))          # wrong dimension
     with pytest.raises(ValueError):
         predict_ports(an, np.array([1.0, 1.0, 0.0, 0.0]))  # not normalized
+    doubled = AnalyzerUnitary(matrix=2.0 * np.eye(2), outcome_labels=((1.0,), (0.0,)), ordering="forward_lex",
+                              dims=(2,))
+    with pytest.raises(ValueError, match=r"^probabilities sum to 4\.0, expected 1 within 1e-10$"):
+        predict_ports(doubled, [1.0, 0.0])
 
 
 # --- eigenbasis checks -----------------------------------------------------------
@@ -343,6 +349,12 @@ def test_eigenbasis_rejects_wrong_analyzer():
     wrong = analyzer_unitary([spec2(), spec2()])
     with pytest.raises(ValueError):
         verify_eigenbasis(obs, wrong)
+    one = tensor_observable([spec2()])
+    with pytest.raises(ValueError, match=r"^observable dim \(2, 2\) does not match analyzer \(4, 4\)$"):
+        verify_eigenbasis(one, wrong)
+    with pytest.raises(ValueError, match=r"^diagonal does not match the analyzer's outcome-label products "
+                                         r"\(max err 1\.000e\+00\)$"):
+        verify_eigenbasis(one, analyzer_unitary([spec2((1.0, 0.0))]))
 
 
 # --- CLI-facing spec strings -------------------------------------------------------
@@ -375,27 +387,3 @@ def test_rotation_plane_reads_axes_and_dimension_as_integers():
             rotation_plane(dim, axes, 0.3)
     np.testing.assert_array_equal(rotation_plane(np.int64(3), (np.int64(1), 2), 0.3), rotation_plane(3, (1, 2), 0.3))
 
-
-def test_default_labels_refuse_other_dimensions():
-    assert default_labels(2.0) == (1.0, 0.0)
-    with pytest.raises(ValueError, match="^no default labels for dimension 4$"):
-        default_labels(4)
-
-
-def test_tensor_observable_dims_are_the_slot_dimensions():
-    assert tensor_observable([spec2(), identity_spec(3)]).dims == (2, 3)
-
-
-def test_predict_ports_refuses_a_non_unitary_analyzer():
-    an = AnalyzerUnitary(matrix=2.0 * np.eye(2), outcome_labels=((1.0,), (0.0,)), ordering="forward_lex", dims=(2,))
-    with pytest.raises(ValueError, match=r"^probabilities sum to 4\.0, expected 1 within 1e-10$"):
-        predict_ports(an, [1.0, 0.0])
-
-
-def test_verify_eigenbasis_refuses_another_size_and_other_labels():
-    obs = tensor_observable([spec2()])
-    with pytest.raises(ValueError, match=r"^observable dim \(2, 2\) does not match analyzer \(4, 4\)$"):
-        verify_eigenbasis(obs, analyzer_unitary([spec2(), spec2()]))
-    with pytest.raises(ValueError, match=r"^diagonal does not match the analyzer's outcome-label products "
-                                         r"\(max err 1\.000e\+00\)$"):
-        verify_eigenbasis(obs, analyzer_unitary([spec2((1.0, 0.0))]))
