@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 ORDERINGS = ("reversed_lex", "forward_lex")
-_PARTICLE_DIMS = (2, 3)  # the dimensions a particle may have
+_PARTICLE_DIMS = (2, 3)
 
 
 def default_labels(dim: int) -> tuple[float, ...]:
