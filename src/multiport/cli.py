@@ -40,13 +40,11 @@ from .interferometer import (
     simulate,
     transfer_matrix,
 )
-from .numerics import equal_up_to_global_phase, load_matrix, save_matrix, write_json, write_text
+from .numerics import _TOL, equal_up_to_global_phase, load_matrix, save_matrix, write_json, write_text
 from .observables import ORDERINGS, analyzer_unitary, parse_obs_spec, predict_ports
 from .states import STATE_NAMES, preparation_unitary, resolve_state
 
 __all__ = ["main", "build_parser"]
-
-FILE_TOL = 1e-10  # how far a written netlist or factorization may miss the matrix it stands for
 
 
 def _json_mode() -> bool:
@@ -165,16 +163,16 @@ def _cmd_decompose(args) -> tuple[dict, list[str], str | None]:
         "max_reconstruction_error": err,
     }
     _wrote(args.outfile, "netlist", lines, record)
-    misses = [f"netlist {args.outfile} misses it by {_fmt(err)}"] if err > FILE_TOL else []
+    misses = [f"netlist {args.outfile} misses it by {_fmt(err)}"] if err > _TOL else []
     if args.factors:
         save_factorization(args.factors, fact)
         ferr = float(np.max(np.abs(reconstruct(load_factorization(args.factors)) - u)))
         _wrote(args.factors, "factorization", lines, record)
         record["factorization_error"] = ferr
-        if ferr > FILE_TOL:
+        if ferr > _TOL:
             misses.append(f"factorization {args.factors} misses it by {_fmt(ferr)}")
     if misses:
-        return record, lines, f"a written file does not reproduce the input within {FILE_TOL:g}: {'; '.join(misses)}"
+        return record, lines, f"a written file does not reproduce the input within {_TOL:g}: {'; '.join(misses)}"
     if args.svg:
         write_text(args.svg, render_schematic(net, format="svg"))
         _wrote(args.svg, "svg", lines, record)
@@ -187,7 +185,7 @@ def _cmd_prepare(args) -> tuple[dict, list[str], str | None]:
     basis_in = _basis(n, args.port)
     u = preparation_unitary(psi, args.port - 1)
     fact, net, back = _compile(u, args.outfile)
-    ok = equal_up_to_global_phase(simulate(back, basis_in), psi, FILE_TOL)  # the file, when one is written
+    ok = equal_up_to_global_phase(simulate(back, basis_in), psi)  # the file, when one is written
 
     lines = [
         f"state {args.state} dim {n}",

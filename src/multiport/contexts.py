@@ -31,11 +31,13 @@ import numpy as np
 
 from .devices import _Rows, _trusted
 from .numerics import (
+    _TOL,
     _unit_rows,
     as_vector,
     read_array,
     read_complex,
     read_json,
+    read_str,
     rows_equal_up_to_global_phase,
     write_json,
 )
@@ -57,7 +59,6 @@ __all__ = [
 ]
 
 LINK_TOL = 1e-8
-_ORTHO_TOL = 1e-10
 MAX_FILE_RAYS = 2048  # most rays read from a file, checked before any Ray: a 64 MB Gram matrix
 _CONFIRM_ENTRIES = 1 << 20  # vector entries per candidate-confirming step: 16 MB per temporary
 
@@ -118,7 +119,7 @@ class Context:
 
     @property
     def dim(self) -> int:
-        return self.rays[0].vector.size
+        return self.matrix.shape[1]
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -258,7 +259,7 @@ def _validate(graph: ContextGraph) -> ValidationReport:
     names = [contexts[k].name for k in own.tolist()]
     upper = ~np.tri(len(rays), dtype=bool)  # the row pairs a < b
     bad = {}
-    for a, b in zip(*((gram > _ORTHO_TOL) & (own[:, None] == own) & upper).nonzero()):
+    for a, b in zip(*((gram > _TOL) & (own[:, None] == own) & upper).nonzero()):
         bad.setdefault(own[a], []).append(
             f"context {names[a]!r}: rays {rays[a].label!r} and {rays[b].label!r} are not "
             f"orthogonal (|<.,.>| = {gram[a, b]:.3e})"
@@ -405,12 +406,12 @@ def context_graph_from_payload(payload) -> ContextGraph:
     for item in payload:
         rays = tuple(
             Ray(
-                label=str(rr["label"]),
+                label=read_str(rr["label"]),
                 vector=np.array([read_complex(z) for z in read_array(rr["vector"])], dtype=np.complex128),
             )
             for rr in item["rays"]
         )
-        contexts.append(Context(name=str(item["name"]), rays=rays))
+        contexts.append(Context(name=read_str(item["name"]), rays=rays))
     return ContextGraph(contexts=tuple(contexts))
 
 

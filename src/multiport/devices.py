@@ -34,6 +34,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .numerics import read_real
+
 __all__ = [
     "wrap_angle",
     "TParams",
@@ -62,7 +64,7 @@ def wrap_angle(x: float) -> float:
     Exact (bitwise identity) for inputs already inside the interval; a
     non-finite angle raises ``ValueError``.
     """
-    return _checked_phases(np.array([float(x)]))[0].item()
+    return _checked_phases(np.array([read_real(x)]))[0].item()
 
 
 # The angle rules, elementwise over the cell arrays of a whole mesh.  A
@@ -91,7 +93,7 @@ def _checked_phases(x: np.ndarray) -> np.ndarray:
 
 
 def _checked_mixing(omega: float, hi: float) -> float:
-    return _checked_mixings(np.array([float(omega)]), hi)[0].item()
+    return _checked_mixings(np.array([read_real(omega)]), hi)[0].item()
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ class MzParams:
     phi: float
 
     def __post_init__(self):
-        a, b, o, f = (float(self.alpha), float(self.beta), float(self.omega), float(self.phi))
+        a, b, o, f = map(read_real, (self.alpha, self.beta, self.omega, self.phi))
         w = _checked_phases(np.array([a, b, o, f]))
         if w[2] < 0.0:
             w = _wrap(np.array([a - math.pi, b + w[2] + math.pi, -w[2], f - math.pi]))
@@ -469,12 +471,12 @@ def named_gate(name: str) -> np.ndarray:
 
 def transmission(omega: float) -> float:
     """Beam-splitter transmission T = cos^2(omega)."""
-    return float(math.cos(omega) ** 2)
+    return math.cos(read_real(omega)) ** 2
 
 
 def omega_from_transmission(t: float) -> float:
     """Mixing angle with cos^2(omega) = t, for t in [0, 1]."""
-    t = float(t)
+    t = read_real(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmission must lie in [0, 1], got {t!r}")
-    return float(math.acos(math.sqrt(t)))
+    return math.acos(math.sqrt(t))

@@ -27,6 +27,8 @@ __all__ = [
 
 ArrayLike = Union[np.ndarray, list, tuple]
 
+_TOL = 1e-10  # the accuracy contract: what the package returns, and each check of a configuration, is held to it
+
 
 def as_matrix(m: ArrayLike) -> np.ndarray:
     """Coerce ``m`` to a finite complex 2-d array (no copy when possible)."""
@@ -121,7 +123,7 @@ def _unit_rows(rows: np.ndarray) -> list[bool]:
     and row by row only where that fails.
     """
     bounded = _parts_within_one(rows)
-    return [(bounded or _parts_within_one(r)) and abs(math.sqrt(np.vdot(r, r).real) - 1.0) <= 1e-10 for r in rows]
+    return [(bounded or _parts_within_one(r)) and abs(math.sqrt(np.vdot(r, r).real) - 1.0) <= _TOL for r in rows]
 
 
 def _is_unit(v: np.ndarray) -> bool:
@@ -171,7 +173,7 @@ def complete_to_unitary(column: ArrayLike, position: int) -> np.ndarray:
     return out
 
 
-def equal_up_to_global_phase(a: ArrayLike, b: ArrayLike, tol: float = 1e-10) -> bool:
+def equal_up_to_global_phase(a: ArrayLike, b: ArrayLike, tol: float = _TOL) -> bool:
     """True iff ``a == c * b`` entrywise within ``tol`` for some |c| = 1.
 
     The one-row case of ``rows_equal_up_to_global_phase``, over all entries.
@@ -183,7 +185,7 @@ def equal_up_to_global_phase(a: ArrayLike, b: ArrayLike, tol: float = 1e-10) -> 
     return bool(rows_equal_up_to_global_phase(x.reshape(1, -1), y.reshape(1, -1), tol)[0])
 
 
-def rows_equal_up_to_global_phase(a: ArrayLike, b: ArrayLike, tol: float = 1e-10) -> np.ndarray:
+def rows_equal_up_to_global_phase(a: ArrayLike, b: ArrayLike, tol: float = _TOL) -> np.ndarray:
     """For two (k, n) arrays, whether ``a[r] == c_r * b[r]`` within ``tol`` for some |c_r| = 1.
 
     Each row's candidate phase is read off at the entry where |a| + |b| is
@@ -258,10 +260,17 @@ def read_int(value) -> int:
 
 
 def read_real(value) -> float:
-    """A real read from a file: a JSON number, so ``true`` and ``"0.5"`` raise TypeError."""
+    """A real, from a file or a library caller: ``True`` and ``"0.5"`` raise TypeError."""
     if isinstance(value, (bool, str)):
         raise TypeError(f"expected a number, got {type(value).__name__}")
     return float(value)
+
+
+def read_str(value) -> str:
+    """A label or a name read from a file: a JSON string, so ``null``, ``true`` and ``3`` raise TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
 
 
 def read_array(value):

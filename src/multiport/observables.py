@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import _is_unit, _parts_within_one, as_matrix, as_vector, kron, read_int
+from .numerics import _TOL, _is_unit, _parts_within_one, as_matrix, as_vector, kron, read_int, read_real
 
 __all__ = [
     "ObservableSpec",
@@ -81,7 +81,7 @@ class ObservableSpec:
             r.flags.writeable = False
             object.__setattr__(self, "rotation", r)
         if self.labels is not None:
-            labs = tuple(float(x) for x in self.labels)
+            labs = tuple(map(read_real, self.labels))
             if len(labs) != self.dim:
                 raise ValueError(f"need {self.dim} labels, got {len(labs)}")
             if any(not math.isfinite(x) for x in labs):
@@ -112,11 +112,15 @@ def rotation_plane(dim: int, axis_pair: tuple[int, int], theta: float) -> np.nda
 
     The 1-based axes follow the usual R12/R23 naming: rotation_plane(3,
     (1, 2), t) rotates the first two coordinates and leaves the third alone.
+    A non-finite ``theta`` raises ValueError.
     """
     dim = read_int(dim)
     a, b = map(read_int, axis_pair)
     if not 1 <= a < b <= dim:
         raise ValueError(f"axes ({a}, {b}) invalid: need 1 <= a < b <= {dim}")
+    theta = read_real(theta)
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     r = np.eye(dim, dtype=np.complex128)
     c, s = math.cos(theta), math.sin(theta)
     i, j = a - 1, b - 1
@@ -212,8 +216,8 @@ def predict_ports(analyzer: AnalyzerUnitary, psi) -> PortDistribution:
     amps = analyzer.matrix @ v
     probs = np.abs(amps) ** 2
     total = float(np.sum(probs))
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1 within 1e-10")
+    if abs(total - 1.0) > _TOL:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1 within {_TOL:g}")
     return PortDistribution(
         amplitudes=tuple(complex(a) for a in amps),
         probabilities=tuple(float(p) for p in probs),
@@ -236,12 +240,12 @@ def verify_eigenbasis(obs: TensorObservable, analyzer: AnalyzerUnitary) -> np.nd
     m = a @ obs.matrix @ a.conj().T
     diag = np.diagonal(m)
     off = float(np.max(np.abs(m - np.diag(diag))))
-    if off > 1e-10:
+    if off > _TOL:
         raise ValueError(f"analyzer does not diagonalize the observable (off-diag {off:.3e})")
     values = diag.real.copy()
     expected = np.array([math.prod(t) for t in analyzer.outcome_labels], dtype=np.float64)
     err = float(np.max(np.abs(values - expected)))
-    if err > 1e-10:
+    if err > _TOL:
         raise ValueError(
             f"diagonal does not match the analyzer's outcome-label products (max err {err:.3e})"
         )

@@ -154,6 +154,13 @@ def test_decompose_matrix_file_with_boolean_shape_exits_4(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_decompose_matrix_file_of_no_entries_exits_4(tmp_path, capsys):
+    mat = tmp_path / "u.json"
+    mat.write_text(json.dumps({"rows": 0, "cols": 0, "entries": []}))
+    got = run(capsys, "decompose", "--in", str(mat), "--out", str(tmp_path / "net.json"))
+    assert got == (4, "", "error: matrix payload must have positive shape\n")
+
+
 def test_decompose_missing_file_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "decompose", "--in", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "net.json"))
@@ -287,6 +294,8 @@ def test_predict_qutrit_distribution(capsys):
     ("plane|id", "malformed observable field 'plane'"),
     ("plane=1|id", "plane wants two comma-separated axes, got '1'"),
     ("plane=a,b|id", "plane wants two comma-separated axes, got 'a,b'"),
+    ("plane=1,2;theta=nan|id", "theta must be finite"),
+    ("plane=1,2;theta=-inf|id", "theta must be finite"),
 ])
 def test_predict_malformed_obs_spec_exits_4(capsys, obs, message):
     code, out, err = run(capsys, "predict", "--state", "bell4", "--obs", obs)

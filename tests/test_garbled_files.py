@@ -171,6 +171,22 @@ WRONG_TYPES = {
 }
 
 
+@pytest.mark.parametrize("where", [(0, "rays", 0, "label"), (0, "name")], ids=["label", "name"])
+@pytest.mark.parametrize("value", [None, True, 3, 2.5, [1], {"a": 1}], ids=json.dumps)
+def test_a_label_or_name_that_is_no_json_string_exits_4(where, value, workdir):
+    # Read with str(), each of these files is a valid graph drawn under its Python text: "None", "True", "3".
+    path = workdir / "not-a-string.json"
+    path.write_text(json.dumps(_with(TRIPODS, where, value)))
+    argv = ("contexts", "--graph", f"@{path}")
+    code, out, err = _run(argv, json_mode=False)
+    json_code, json_out, json_err = _run(argv, json_mode=True)
+    assert (code, out, json_code, json_err) == (4, "", 4, err)
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f"(TypeError: expected a string, got {type(value).__name__})\n")
+    failed = {"verb": "contexts", "exit_code": 4, "error_class": "ValueError", "message": err[len("error: "):-1]}
+    assert json_out.splitlines() == [json.dumps(failed, sort_keys=True)]
+
+
 @pytest.mark.parametrize("name", WRONG_TYPES)
 def test_a_bool_or_string_where_a_number_or_an_array_belongs_exits_4(name, workdir):
     fmt, payload, what = WRONG_TYPES[name]

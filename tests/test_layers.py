@@ -6,7 +6,9 @@ applies the same elements one at a time, in list order, as dense 2x2 block
 products; the two must agree to rounding.
 """
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -352,7 +354,9 @@ def test_plan_replays_the_layer_steps_bitwise(u, handed):
     assert (f_file.depth, nl_file.depth) == (f.depth, nl.depth)
     v = np.random.default_rng(1).standard_normal(f.dim) + 0j
     assert np.array_equal(reconstruct(f), reconstruct(f_file))
-    for compiled in (netlist_from_factorization(f_file), nl_file):
+    # A copy goes through the netlist's one attribute hook, which answers only for ``elements``.
+    assert not hasattr(nl, "T")
+    for compiled in (netlist_from_factorization(f_file), nl_file, copy.deepcopy(nl), pickle.loads(pickle.dumps(nl))):
         assert np.array_equal(transfer_matrix(nl), transfer_matrix(compiled))
         assert np.array_equal(simulate(nl, v), simulate(compiled, v))
         assert np.array_equal(simulate(nl, np.eye(f.dim)[:, 0]), simulate(compiled, np.eye(f.dim)[:, 0]))

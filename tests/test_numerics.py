@@ -1,21 +1,29 @@
 import json
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiport import (
+    BsParams,
+    MzParams,
+    TParams,
     commutator,
     complete_to_unitary,
     dyadic,
     equal_up_to_global_phase,
     kron,
     load_matrix,
+    omega_from_transmission,
     random_unitary,
+    rotation_plane,
     save_matrix,
+    transmission,
     unitarity_deviation,
+    wrap_angle,
 )
 from multiport.contexts import builtin_graph, context_graph_to_payload, save_context_graph
 from multiport.decompose import decompose, factorization_to_payload, save_factorization
@@ -260,6 +268,37 @@ def test_integer_parameters_refuse_bools_and_floats():
             random_unitary(bad, 1)
     assert unitarity_deviation(complete_to_unitary(v, np.int64(1))) <= 1e-15
     assert random_unitary(np.int64(2), 1).shape == (2, 2)
+
+
+# Each real a library caller passes, as a one-argument call whose results compare by ==.
+LIBRARY_REALS = {
+    "wrap_angle": wrap_angle,
+    "TParams-omega": lambda x: TParams(x, 0.0),
+    "TParams-phi": lambda x: TParams(0.5, x),
+    "BsParams-omega": lambda x: BsParams(x, 0.0, 0.0, 0.0),
+    "BsParams-alpha": lambda x: BsParams(0.5, x, 0.0, 0.0),
+    "BsParams-beta": lambda x: BsParams(0.5, 0.0, x, 0.0),
+    "BsParams-phi": lambda x: BsParams(0.5, 0.0, 0.0, x),
+    "MzParams-alpha": lambda x: MzParams(x, 0.0, 0.5, 0.0),
+    "MzParams-beta": lambda x: MzParams(0.0, x, 0.5, 0.0),
+    "MzParams-omega": lambda x: MzParams(0.0, 0.0, x, 0.0),
+    "MzParams-phi": lambda x: MzParams(0.0, 0.0, 0.5, x),
+    "transmission": transmission,
+    "omega_from_transmission": omega_from_transmission,
+    "rotation_plane-theta": lambda x: rotation_plane(3, (1, 2), x).tobytes(),
+    "ObservableSpec-labels": lambda x: ObservableSpec(dim=2, labels=(x, 2.0)).labels,
+}
+
+
+@pytest.mark.parametrize("call", LIBRARY_REALS.values(), ids=LIBRARY_REALS.keys())
+def test_library_reals_refuse_bools_and_strings_as_files_do(call):
+    for bad in (True, False, "0.5"):
+        with pytest.raises(TypeError, match=r"^expected a number, got (bool|str)$"):
+            call(bad)
+    want = call(0.5)
+    for same in (np.float64(0.5), np.float32(0.5), Fraction(1, 2)):
+        assert call(same) == want
+    assert call(1) == call(np.int64(1)) == call(1.0)
 
 
 NUMERICS_REFUSALS = {

@@ -381,6 +381,12 @@ def test_parse_obs_spec_errors():
         parse_obs_spec("id|id", state_dim=5)
 
 
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_rotation_plane_refuses_a_non_finite_angle(theta):
+    with pytest.raises(ValueError, match="^theta must be finite$"):
+        rotation_plane(3, (1, 2), theta)
+
+
 def test_rotation_plane_reads_axes_and_dimension_as_integers():
     for dim, axes in ((3, (1.5, 2)), (3, (True, 2)), (2.0, (1, 2))):
         with pytest.raises(TypeError, match=r"^expected an integer, got (bool|float)$"):
