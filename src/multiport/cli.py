@@ -299,10 +299,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return int(code)
+        return exc.code
     try:
         record, lines, failure = args.func(args)
         _emit(record, lines)

@@ -93,17 +93,11 @@ class Factorization(_Mesh):
 
     dim: int
     diagonal: np.ndarray
+    _COLUMNS = ("p", "q", "omega", "phi", "diagonal")
 
     @cached_property
     def factors(self) -> Sequence[TFactor]:
         return _Rows(_cell, self.p, self.q, self.omega, self.phi)
-
-    def __eq__(self, other):
-        if not isinstance(other, Factorization):
-            return NotImplemented
-        return self.dim == other.dim and all(
-            np.array_equal(getattr(self, k), getattr(other, k)) for k in ("p", "q", "omega", "phi", "diagonal")
-        )
 
     @property
     def kind(self) -> np.ndarray:
@@ -246,7 +240,7 @@ def factorization_from_payload(payload: dict) -> Factorization:
     bad = np.flatnonzero((p < 1) | (p >= q) | (q > dim))
     if bad.size:
         raise ValueError(f"file ports ({p[bad[0]]}, {q[bad[0]]}) invalid for dim {dim} (1-based)")
-    omega = _checked_mixings(np.array([read_real(item["omega"]) for item in items]), math.pi / 2)
+    omega = _checked_mixings(np.array([read_real(item["omega"]) for item in items]))
     phi = _checked_phases(np.array([read_real(item["phi"]) for item in items]))
     diagonal = np.array([read_real(d) for d in read_array(payload["diagonal"])])
     if diagonal.size != dim:

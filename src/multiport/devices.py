@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_HALF_PI = 0.5 * math.pi  # the top of a T or T_bs mixing angle's interval
 _RANGE_SLOP = 1e-12  # tolerated overshoot before an omega is rejected
 MAX_FILE_DIM = 4096  # largest mesh dim read from a file, checked before any allocation
 
@@ -77,13 +78,13 @@ def _wrap(x: np.ndarray) -> np.ndarray:
     return np.where(w <= -math.pi, w + _TWO_PI, np.where(w > math.pi, w - _TWO_PI, w))
 
 
-def _checked_mixings(omega: np.ndarray, hi: float) -> np.ndarray:
+def _checked_mixings(omega: np.ndarray) -> np.ndarray:
     if not np.isfinite(omega).all():
         raise ValueError("mixing angle must be finite")
-    bad = np.flatnonzero((omega < -_RANGE_SLOP) | (omega > hi + _RANGE_SLOP))
+    bad = np.flatnonzero((omega < -_RANGE_SLOP) | (omega > _HALF_PI + _RANGE_SLOP))
     if bad.size:
-        raise ValueError(f"mixing angle {float(omega[bad[0]])!r} outside [0, {hi!r}]")
-    return np.minimum(np.maximum(omega, 0.0), hi)
+        raise ValueError(f"mixing angle {float(omega[bad[0]])!r} outside [0, {_HALF_PI!r}]")
+    return np.minimum(np.maximum(omega, 0.0), _HALF_PI)
 
 
 def _checked_phases(x: np.ndarray) -> np.ndarray:
@@ -92,8 +93,8 @@ def _checked_phases(x: np.ndarray) -> np.ndarray:
     return _wrap(x)
 
 
-def _checked_mixing(omega: float, hi: float) -> float:
-    return _checked_mixings(np.array([read_real(omega)]), hi)[0].item()
+def _checked_mixing(omega: float) -> float:
+    return _checked_mixings(np.array([read_real(omega)]))[0].item()
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ class TParams:
     phi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", _checked_mixing(self.omega, math.pi / 2))
+        object.__setattr__(self, "omega", _checked_mixing(self.omega))
         object.__setattr__(self, "phi", wrap_angle(self.phi))
 
 
@@ -118,7 +119,7 @@ class BsParams:
     phi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", _checked_mixing(self.omega, math.pi / 2))
+        object.__setattr__(self, "omega", _checked_mixing(self.omega))
         object.__setattr__(self, "alpha", wrap_angle(self.alpha))
         object.__setattr__(self, "beta", wrap_angle(self.beta))
         object.__setattr__(self, "phi", wrap_angle(self.phi))
@@ -279,15 +280,21 @@ class _Mesh:
     """What ``Factorization`` and ``Netlist`` share, each part built once per object as a ``cached_property``.
 
     A subclass is a frozen dataclass holding ``dim`` and the columns ``kind``,
-    ``p`` and ``q``.  ``_from_columns`` stores valid columns and checks none:
-    the rules belong to the readers of outside input, and the producers
-    (``decompose``, ``netlist_from_factorization``) build valid columns.
-    ``_coefficients()`` returns the ``block`` and ``rows`` that
+    ``p`` and ``q``; ``==`` compares ``dim`` and the arrays its ``_COLUMNS``
+    name, so a mesh is unhashable.  ``_from_columns`` stores valid columns and
+    checks none: the rules belong to the readers of outside input, and the
+    producers (``decompose``, ``netlist_from_factorization``) build valid
+    columns.  ``_coefficients()`` returns the ``block`` and ``rows`` that
     ``plan_steps`` takes.  Every mesh is applied by replaying one
     ``layer_plan``, ``_plan``: the one handed to ``_from_columns``, or else
     one built from the ASAP ``schedule`` on first use.  ``_steps`` is that
     plan replayed on the mesh's coefficients, also on first use.
     """
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.dim == other.dim and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in self._COLUMNS)
 
     @classmethod
     def _from_columns(cls, dim, plan=None, **columns):
@@ -470,8 +477,11 @@ def named_gate(name: str) -> np.ndarray:
 
 
 def transmission(omega: float) -> float:
-    """Beam-splitter transmission T = cos^2(omega)."""
-    return math.cos(read_real(omega)) ** 2
+    """Beam-splitter transmission T = cos^2(omega), for any finite omega."""
+    omega = read_real(omega)
+    if not math.isfinite(omega):
+        raise ValueError("mixing angle must be finite")
+    return math.cos(omega) ** 2
 
 
 def omega_from_transmission(t: float) -> float:

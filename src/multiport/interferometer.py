@@ -46,8 +46,8 @@ from a factorization, whose own reader checked it, and checks nothing again.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -58,6 +58,7 @@ from .devices import (
     MAX_FILE_DIM,
     ONE,
     TWO,
+    _HALF_PI,
     _Mesh,
     _bs_block,
     _checked_mixings,
@@ -83,7 +84,6 @@ __all__ = [
 # The fields each kind takes; those that default to None are required.
 _TAKES = {"bs": ("p", "q", "omega", "alpha", "beta", "phi"), "ps": ("p", "phase"), "diag": ("phases",)}
 _KINDS = tuple(_TAKES)
-_HALF_PI = 0.5 * math.pi
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class Element:
 _UNSET = {f.name: f.default for f in fields(Element)[1:]}  # every field but kind, at its default
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Netlist(_Mesh):
     """Ordered elements on ``dim`` ports; all port references must fit.
 
@@ -137,16 +137,21 @@ class Netlist(_Mesh):
     diag), ports ``p`` and ``q`` (-1 where a kind has none), ``angles``
     (omega, alpha, beta, phi of a bs; a ps's phase in the first column) and
     ``phases``, one row per diag element in order.  ``elements`` is a tuple
-    view of ``Element`` objects, built on first use by ``__getattr__``.
+    of ``Element`` objects: the one ``Netlist(dim, elements)`` was given, or
+    else one built from the columns on first read, as a ``cached_property``.
     """
 
     dim: int
-    elements: tuple[Element, ...]
+    _COLUMNS = ("kind", "p", "q", "angles", "phases")
 
-    def __post_init__(self):
-        dim, els = read_int(self.dim), tuple(self.elements)
-        read = Netlist._from_columns(dim, **_read_elements(dim, [vars(e) for e in els], 0))
-        vars(self).update(vars(read), elements=els)
+    def __init__(self, dim: int, elements):
+        dim, elements = read_int(dim), tuple(elements)
+        read = Netlist._from_columns(dim, **_read_elements(dim, [vars(e) for e in elements], 0))
+        vars(self).update(vars(read), elements=elements)
+
+    @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        return tuple(_trusted(Element, **{**_UNSET, **item}) for item in self._walk(0, tuple))
 
     def _walk(self, base: int, seq):
         """The fields of each element in order, ports offset by ``base``, each diag row a ``seq``.
@@ -166,13 +171,6 @@ class Netlist(_Mesh):
                 yield {"kind": "ps", "p": p + base, "phase": omega}
             else:
                 yield {"kind": "diag", "phases": seq(next(rows))}
-
-    def __getattr__(self, name):
-        if name != "elements":
-            raise AttributeError(name)
-        elements = tuple(_trusted(Element, **{**_UNSET, **item}) for item in self._walk(0, tuple))
-        object.__setattr__(self, "elements", elements)
-        return elements
 
     def _coefficients(self) -> tuple:
         omega, alpha, beta, phi = self.angles.T
@@ -223,7 +221,7 @@ def _read_elements(dim: int, items, base: int) -> dict:
     if bad.size:
         raise ValueError(f"ps port {p[bad[0]] + base} invalid for dim {dim}: need {base} <= p <= {dim - 1 + base}")
     angles = np.array(angles, dtype=float).reshape(-1, 4)
-    angles[two, 0] = _checked_mixings(angles[two, 0], _HALF_PI)
+    angles[two, 0] = _checked_mixings(angles[two, 0])
     phases = np.array(rows, dtype=float).reshape(-1, dim)
     if not (np.isfinite(angles).all() and np.isfinite(phases).all()):
         raise ValueError("angles and phases must be finite")

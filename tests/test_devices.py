@@ -311,3 +311,12 @@ def test_transmission_round_trip():
         assert omega_from_transmission(t) == pytest.approx(w, abs=1e-12)
     assert transmission(0.0) == 1.0
     assert transmission(np.pi / 2) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_transmission_refuses_a_non_finite_angle():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="^mixing angle must be finite$"):
+            transmission(bad)
+    # A finite angle outside [0, pi/2] still gives cos^2.
+    assert transmission(np.pi) == 1.0
+    assert transmission(-0.3) == np.cos(-0.3) ** 2

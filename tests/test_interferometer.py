@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import json
@@ -375,3 +376,16 @@ def test_numpy_scalars_and_tuples_still_build_elements():
     diag = Element("diag", phases=(np.float64(0.25), 0))
     assert diag.phases == (0.25, 0.0)
     assert Netlist(2, (el, diag)).kind.tolist() == [0, 2]  # a bs, then a diag
+
+
+def test_replace_builds_a_netlist_of_new_elements_which_it_keeps():
+    nl = netlist_from_factorization(decompose(random_unitary(4, 5)))
+    elements = list(nl.elements)
+    elements[3] = dataclasses.replace(elements[3], alpha=elements[3].alpha + 1e-6)
+    moved = dataclasses.replace(nl, elements=tuple(elements))
+    assert moved != nl
+    assert not np.array_equal(transfer_matrix(moved), transfer_matrix(nl))
+    assert all(a is b for a, b in zip(Netlist(4, elements).elements, elements, strict=True))
+    assert [f.name for f in dataclasses.fields(Netlist)] == ["dim"] and repr(nl) == "Netlist(dim=4)"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(nl)

@@ -354,7 +354,7 @@ def test_plan_replays_the_layer_steps_bitwise(u, handed):
     assert (f_file.depth, nl_file.depth) == (f.depth, nl.depth)
     v = np.random.default_rng(1).standard_normal(f.dim) + 0j
     assert np.array_equal(reconstruct(f), reconstruct(f_file))
-    # A copy goes through the netlist's one attribute hook, which answers only for ``elements``.
+    # A netlist has no attribute of an element's, and a copy or a pickle of it gives the same bits.
     assert not hasattr(nl, "T")
     for compiled in (netlist_from_factorization(f_file), nl_file, copy.deepcopy(nl), pickle.loads(pickle.dumps(nl))):
         assert np.array_equal(transfer_matrix(nl), transfer_matrix(compiled))
