@@ -57,6 +57,7 @@ __all__ = [
 
 SKIP_TOL = 1e-14  # entries at or below this magnitude need no elimination
 UNITARY_TOL = 1e-9  # input Gram deviation; residual distance from a unit-modulus diagonal
+_FACTOR_FIELDS = frozenset(("p", "q", "omega", "phi"))  # every field a factor record takes
 
 
 @dataclass(frozen=True)
@@ -237,6 +238,9 @@ def factorization_from_payload(payload: dict) -> Factorization:
         raise ValueError(f"{len(items)} factors exceed the n(n-1)/2 = {limit} bound")
     p = np.array([read_int(item["p"]) for item in items], dtype=np.int64)
     q = np.array([read_int(item["q"]) for item in items], dtype=np.int64)
+    for item in items:
+        if not item.keys() <= _FACTOR_FIELDS:
+            raise ValueError(f"factor takes no {', '.join(name for name in item if name not in _FACTOR_FIELDS)}")
     bad = np.flatnonzero((p < 1) | (p >= q) | (q > dim))
     if bad.size:
         raise ValueError(f"file ports ({p[bad[0]]}, {q[bad[0]]}) invalid for dim {dim} (1-based)")

@@ -22,13 +22,17 @@ in memory and 1-based in files and rendered output.  Netlist files write
 ``"omega"``; a ``bs`` with only ``"T"`` (the older format) is still read.
 
 A netlist is compiled from a factorization or read from a file, whose
-format is the one documented way to write a mesh by hand; ``Netlist(dim,
-elements)`` also builds one from ``Element`` objects.  Outside input is
-checked once, where it enters: the file reader, ``Netlist(dim, elements)``
-and ``Element`` all read their element records through ``_read_elements``,
-which holds every rule:
+format is the one documented way to write a mesh by hand.  Outside input is
+checked once, where it enters: the file reader and ``Netlist(dim,
+elements)`` read their element records through ``_read_elements``, which
+holds every rule:
 
 * ``dim >= 1``;
+* the kind is ``bs``, ``ps`` or ``diag``;
+* a record has the fields its kind needs -- ``p``, ``q`` and ``omega`` (or
+  ``T``) for a ``bs``, ``p`` and ``phase`` for a ``ps``, ``phases`` for a
+  ``diag`` -- and no field its kind does not take; a ``bs`` also takes
+  ``alpha``, ``beta`` and ``phi``;
 * a ``bs`` has ports p < q and a ``ps`` a port p, each an integer in the
   reader's range (0 to dim - 1 in memory, 1 to dim in a file);
 * a ``bs`` mixing angle lies in [0, pi/2] (an overshoot within 1e-12 is
@@ -39,14 +43,13 @@ which holds every rule:
   ``BsParams``;
 * each ``diag`` has exactly ``dim`` phases.
 
-An ``Element`` obeys the same rules as the one element of the smallest
-netlist that holds it.  ``netlist_from_factorization`` builds valid columns
-from a factorization, whose own reader checked it, and checks nothing again.
+``netlist_from_factorization`` builds valid columns from a factorization,
+whose own reader checked it, and checks nothing again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -62,7 +65,6 @@ from .devices import (
     _Mesh,
     _bs_block,
     _checked_mixings,
-    _trusted,
     _wrap,
     apply_layers,
     omega_from_transmission,
@@ -71,7 +73,6 @@ from .devices import (
 from .numerics import as_vector, read_array, read_int, read_json, read_real, write_json
 
 __all__ = [
-    "Element",
     "Netlist",
     "netlist_from_factorization",
     "transfer_matrix",
@@ -81,52 +82,31 @@ __all__ = [
     "load_netlist",
 ]
 
-# The fields each kind takes; those that default to None are required.
-_TAKES = {"bs": ("p", "q", "omega", "alpha", "beta", "phi"), "ps": ("p", "phase"), "diag": ("phases",)}
-_KINDS = tuple(_TAKES)
+# The fields each kind needs, in the order a refusal names them, and every field it takes.  A bs of
+# the older file format gives its transmission "T" in place of "omega".
+_NEEDS = {"bs": ("p", "q", "omega"), "ps": ("p", "phase"), "diag": ("phases",)}
+_TAKES = {
+    "bs": {"kind", "p", "q", "omega", "alpha", "beta", "phi", "T"},
+    "ps": {"kind", "p", "phase"},
+    "diag": {"kind", "phases"},
+}
+_KINDS = tuple(_NEEDS)
+_NEED_SETS = {k: frozenset(need) for k, need in _NEEDS.items()}
 
 
 @dataclass(frozen=True)
-class Element:
-    """One optical element; ``kind`` decides which fields it takes, and the rest stay at their defaults."""
+class _Element:
+    """One record of ``Netlist.elements``, read back from the columns; a field its kind lacks is None."""
 
-    kind: str
+    kind: Optional[str] = None
     p: Optional[int] = None
     q: Optional[int] = None
     omega: Optional[float] = None
-    alpha: float = 0.0
-    beta: float = 0.0
-    phi: float = 0.0
+    alpha: Optional[float] = None
+    beta: Optional[float] = None
+    phi: Optional[float] = None
     phase: Optional[float] = None
     phases: Optional[tuple[float, ...]] = None
-
-    def __post_init__(self):
-        takes = _TAKES.get(self.kind)
-        if takes is None:
-            raise ValueError(f"unknown element kind {self.kind!r}; expected one of {_KINDS}")
-        need = [name for name in takes if _UNSET[name] is None]
-        if any(getattr(self, name) is None for name in need):
-            raise ValueError(f"{self.kind} element needs {', '.join(need)}")
-        extra = [name for name, unset in _UNSET.items() if name not in takes and getattr(self, name) != unset]
-        if extra:
-            raise ValueError(f"{self.kind} element takes no {', '.join(extra)}")
-        if self.kind == "diag":
-            object.__setattr__(self, "phases", tuple(read_real(x) for x in read_array(self.phases)))
-            dim = len(self.phases) or 1
-        else:
-            dim = max(self.p, self.q or 0) + 1
-        angles = _read_elements(dim, [vars(self)], 0)["angles"]
-        if self.kind == "bs":
-            for name, value in zip(("omega", "alpha", "beta", "phi"), angles[0].tolist()):
-                object.__setattr__(self, name, value)
-
-    @property
-    def T(self) -> Optional[float]:
-        """Transmission cos^2(omega) of a ``bs``; None for the other kinds."""
-        return None if self.omega is None else transmission(self.omega)
-
-
-_UNSET = {f.name: f.default for f in fields(Element)[1:]}  # every field but kind, at its default
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -137,21 +117,23 @@ class Netlist(_Mesh):
     diag), ports ``p`` and ``q`` (-1 where a kind has none), ``angles``
     (omega, alpha, beta, phi of a bs; a ps's phase in the first column) and
     ``phases``, one row per diag element in order.  ``elements`` is a tuple
-    of ``Element`` objects: the one ``Netlist(dim, elements)`` was given, or
-    else one built from the columns on first read, as a ``cached_property``.
+    of plain records read back from the columns on first read, as a
+    ``cached_property``.  ``Netlist(dim, elements)`` reads the non-None
+    fields of such records through ``_read_elements`` and keeps only the
+    columns; it and ``elements`` serve ``dataclasses.replace`` of a record.
     """
 
     dim: int
     _COLUMNS = ("kind", "p", "q", "angles", "phases")
 
     def __init__(self, dim: int, elements):
-        dim, elements = read_int(dim), tuple(elements)
-        read = Netlist._from_columns(dim, **_read_elements(dim, [vars(e) for e in elements], 0))
-        vars(self).update(vars(read), elements=elements)
+        dim = read_int(dim)
+        items = [{name: v for name, v in vars(e).items() if v is not None} for e in elements]
+        vars(self).update(vars(Netlist._from_columns(dim, **_read_elements(dim, items, 0))))
 
     @cached_property
-    def elements(self) -> tuple[Element, ...]:
-        return tuple(_trusted(Element, **{**_UNSET, **item}) for item in self._walk(0, tuple))
+    def elements(self) -> tuple[_Element, ...]:
+        return tuple(_Element(**row) for row in self._walk(0, tuple))
 
     def _walk(self, base: int, seq):
         """The fields of each element in order, ports offset by ``base``, each diag row a ``seq``.
@@ -184,14 +166,22 @@ def _read_elements(dim: int, items, base: int) -> dict:
 
     The one reader of element records, and the one place their rules are
     checked: ``items`` are the dicts of a netlist file (``base`` 1) or the
-    fields of ``Element`` objects (``base`` 0).  A ``bs`` record without
-    ``"omega"`` takes it from ``"T"``; absent phases are 0.
+    non-None fields of ``Netlist.elements`` records (``base`` 0).  Each
+    record's kind and fields are checked before it is read.  A ``bs`` record
+    without ``"omega"`` takes it from ``"T"``; absent phases are 0.
     """
     if dim < 1:
         raise ValueError("netlist dimension must be >= 1")
     ports, angles, rows = [], [], []  # kind, p, q of each element, flat; its angles; each diag's phases
     for item in read_array(items):
         k = item.get("kind")
+        if k not in _KINDS:
+            raise ValueError(f"unknown element kind {k!r}; expected one of {_KINDS}")
+        keys = item.keys()
+        if not keys <= _TAKES[k]:
+            raise ValueError(f"{k} element takes no {', '.join(name for name in item if name not in _TAKES[k])}")
+        if not (keys >= _NEED_SETS[k] or k == "bs" and keys >= {"p", "q", "T"}):
+            raise ValueError(f"{k} element needs {', '.join(_NEEDS[k])}")
         if k == "bs":
             ports += (TWO, read_int(item["p"]), read_int(item["q"]))
             omega = read_real(item["omega"]) if "omega" in item else omega_from_transmission(read_real(item["T"]))
@@ -201,15 +191,13 @@ def _read_elements(dim: int, items, base: int) -> dict:
         elif k == "ps":
             ports += (ONE, read_int(item["p"]), base - 1)
             angles.append((read_real(item["phase"]), 0.0, 0.0, 0.0))
-        elif k == "diag":
+        else:
             row = [read_real(x) for x in read_array(item["phases"])]
             if len(row) != dim:
                 raise ValueError(f"diag element has {len(row)} phases, expected {dim}")
             rows.append(row)
             ports += (ALL, base - 1, base - 1)
             angles.append((0.0, 0.0, 0.0, 0.0))
-        else:
-            raise ValueError(f"unknown element kind {k!r}; expected one of {_KINDS}")
     ports = np.array(ports, dtype=np.int64).reshape(-1, 3)
     kind, p, q = ports[:, 0].copy(), ports[:, 1] - base, ports[:, 2] - base
     two = kind == TWO
@@ -350,7 +338,7 @@ def netlist_to_payload(nl: Netlist) -> dict:
 
 
 def netlist_from_payload(payload: dict) -> Netlist:
-    """The columns of a netlist file, read and checked by ``_read_elements``; no ``Element`` is built."""
+    """The columns of a netlist file, read and checked by ``_read_elements``; no record is built."""
     dim = read_int(payload["dim"])
     if dim > MAX_FILE_DIM:
         raise ValueError(f"netlist dim {dim} exceeds the limit of {MAX_FILE_DIM}")

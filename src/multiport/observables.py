@@ -267,7 +267,7 @@ def _parse_segment(seg: str, dim: int) -> ObservableSpec:
         return identity_spec(dim)
 
     plane: Optional[tuple[int, int]] = None
-    theta = 0.0
+    theta: Optional[float] = None
     labels = default_labels(dim)
     for f in fields:
         key, eq, val = f.partition("=")
@@ -289,7 +289,9 @@ def _parse_segment(seg: str, dim: int) -> ObservableSpec:
             labels = tuple(float(x) for x in val.split(","))
         else:
             raise ValueError(f"unknown observable field {key!r}")
-    rotation = rotation_plane(dim, plane, theta) if plane is not None else None
+    if plane is None and theta is not None:
+        raise ValueError("theta needs plane")
+    rotation = rotation_plane(dim, plane, 0.0 if theta is None else theta) if plane is not None else None
     return ObservableSpec(dim=dim, rotation=rotation, labels=labels)
 
 

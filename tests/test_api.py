@@ -18,7 +18,6 @@ PUBLIC = [
     "BsParams",
     "Context",
     "ContextGraph",
-    "Element",
     "Factorization",
     "GATE_NAMES",
     "MzParams",

@@ -296,6 +296,8 @@ def test_predict_qutrit_distribution(capsys):
     ("plane=a,b|id", "plane wants two comma-separated axes, got 'a,b'"),
     ("plane=1,2;theta=nan|id", "theta must be finite"),
     ("plane=1,2;theta=-inf|id", "theta must be finite"),
+    ("theta=nan|id", "theta needs plane"),
+    ("theta=1.0|id", "theta needs plane"),
 ])
 def test_predict_malformed_obs_spec_exits_4(capsys, obs, message):
     code, out, err = run(capsys, "predict", "--state", "bell4", "--obs", obs)
@@ -386,6 +388,17 @@ def test_simulate_garbled_netlist_exits_4(tmp_path, capsys, payload):
     code, _, err = run(capsys, "simulate", "--net", str(net))
     assert code == 4
     assert "error:" in err
+
+
+def test_simulate_element_with_a_field_its_kind_does_not_take_exits_4(tmp_path, capsys, monkeypatch):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"dim": 2, "elements": [{"kind": "ps", "p": 1, "q": 2, "phase": 0.1}]}))
+    assert run(capsys, "simulate", "--net", str(net)) == (4, "", "error: ps element takes no q\n")
+    monkeypatch.setenv("REPORT_JSON", "1")
+    code, out, err = run(capsys, "simulate", "--net", str(net))
+    assert (code, err) == (4, "error: ps element takes no q\n")
+    failed = {"error_class": "ValueError", "exit_code": 4, "message": "ps element takes no q", "verb": "simulate"}
+    assert out.splitlines()[-1] == json.dumps(failed, sort_keys=True)
 
 
 def test_simulate_bad_port_exits_4(tmp_path, capsys):

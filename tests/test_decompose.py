@@ -215,6 +215,9 @@ def test_factorization_file_dim_is_capped(tmp_path):
     pytest.param({"factors": [{"p": 1, "q": "2", "omega": 0.1, "phi": 0.0}]}, id="string-port"),
     pytest.param({"dim": True, "diagonal": [0.0]}, id="boolean-dim"),
     pytest.param({"factors": [{"p": True, "q": 2, "omega": 0.1, "phi": 0.0}]}, id="boolean-port"),
+    pytest.param(
+        {"factors": [{"p": 1, "q": 2, "omega": 0.3, "phi": 0.1, "kind": "ps", "alpha": 9}]}, id="netlist-fields"
+    ),
 ])
 def test_garbled_factorization_file_is_a_value_error(tmp_path, change):
     path = tmp_path / "f.json"

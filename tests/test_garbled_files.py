@@ -1,7 +1,8 @@
 """Every file reader under one property: a garbled file fails cleanly.
 
 A valid file of each format is mutated -- a value swapped for another type
-or an extreme number, an entry deleted, a list item duplicated -- and run
+or an extreme number, an entry deleted, a list item duplicated, a key
+inserted into an object -- and run
 through its reader: the matrix file by ``decompose --in``, the state file by
 ``predict --state @``, the netlist file by ``simulate --net``, the graph file
 by ``contexts --graph @`` (all through ``cli.main`` in process), and the
@@ -62,18 +63,30 @@ def _paths(node, at=()):
         yield from _paths(child, at + (key,))
 
 
+# Keys to insert: fields of the formats, of other kinds or formats than the object's own, and a stranger.
+KEYS = st.sampled_from(["kind", "p", "q", "omega", "T", "phase", "phases", "alpha", "name", "rows", "x"])
+
+
+def _node(payload, path):
+    """The node of ``payload`` at ``path``."""
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
 @st.composite
 def garbled(draw, payload):
-    """The payload with one to three mutations: a type swap, a deletion, or a duplicated list item."""
+    """The payload with one to three mutations: a type swap, a deletion, a duplicated list item, or an inserted key."""
     payload = copy.deepcopy(payload)
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(payload))))
+        if isinstance(_node(payload, path), dict) and draw(st.booleans()):
+            _node(payload, path)[draw(KEYS)] = draw(SWAPS)
+            continue
         if not path:
             payload = draw(SWAPS)
             continue
-        parent = payload
-        for key in path[:-1]:
-            parent = parent[key]
+        parent = _node(payload, path[:-1])
         key = path[-1]
         how = draw(st.sampled_from(("swap", "delete", "duplicate")))
         if how == "swap":
@@ -132,10 +145,7 @@ def test_garbled_file_fails_with_one_error_line_and_a_failure_record(name, workd
 def _with(payload, path, value):
     """A copy of ``payload`` with the node at ``path`` set to ``value``."""
     payload = copy.deepcopy(payload)
-    parent = payload
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    _node(payload, path[:-1])[path[-1]] = value
     return payload
 
 

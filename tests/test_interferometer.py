@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from multiport import (
     BsParams,
-    Element,
     Netlist,
     TParams,
     bell_state,
@@ -26,11 +26,12 @@ from multiport import (
     simulate,
     t_matrix,
     transfer_matrix,
+    transmission,
     unitarity_deviation,
 )
 from multiport.decompose import factorization_from_payload
 from multiport.devices import _bs_block, _wrap
-from multiport.interferometer import netlist_from_payload, netlist_to_payload
+from multiport.interferometer import _Element, netlist_from_payload, netlist_to_payload
 
 import refdata
 
@@ -40,29 +41,41 @@ def net(dim, *elements):
     return netlist_from_payload({"dim": dim, "elements": list(elements)})
 
 
+def both_ways(dim, **fields):
+    """Builders of the netlist of one element: from a record in memory, and from a file record (ports 1-based)."""
+    ports = {name: fields[name] + 1 for name in ("p", "q") if name in fields}
+    return lambda: Netlist(dim, (_Element(**fields),)), lambda: net(dim, {**fields, **ports})
+
+
 def test_element_validation():
     half = omega_from_transmission(0.5)
     with pytest.raises(ValueError):
-        Element(kind="bs", p=2, q=1, omega=half)
-    with pytest.raises(ValueError):
         net(2, {"kind": "bs", "p": 1, "q": 2, "T": 1.5})
-    with pytest.raises(ValueError):
-        Element(kind="diag", phases=())
-    with pytest.raises(ValueError):
-        Netlist(dim=2, elements=(Element(kind="bs", p=0, q=2, omega=half),))
-    with pytest.raises(ValueError):
-        Netlist(dim=3, elements=(Element(kind="diag", phases=(0.0, 0.0)),))
+    bad = [
+        (3, dict(kind="bs", p=2, q=1, omega=half), r"^bs ports \(\d, \d\) invalid for dim 3"),
+        (1, dict(kind="diag", phases=()), "^diag element has 0 phases, expected 1$"),
+        (2, dict(kind="bs", p=0, q=2, omega=half), r"^bs ports \(\d, \d\) invalid for dim 2"),
+        (3, dict(kind="diag", phases=(0.0, 0.0)), "^diag element has 2 phases, expected 3$"),
+    ]
+    for dim, fields, message in bad:
+        for build in both_ways(dim, **fields):
+            with pytest.raises(ValueError, match=message):
+                build()
+    with pytest.raises(ValueError, match="^ps element takes no T$"):
+        net(2, {"kind": "ps", "p": 1, "phase": 0.1, "T": 0.5})
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(kind="ps", p=0, phase=0.1, alpha=7.0, q=5), "ps element takes no q, alpha"),
+    (dict(kind="ps", p=0, phase=0.1, q=5, alpha=7.0), "ps element takes no q, alpha"),
     (dict(kind="diag", phases=(0.1,), p=3, omega=9.0), "diag element takes no p, omega"),
     (dict(kind="bs", p=0, q=1, omega=0.5, phase=0.2), "bs element takes no phase"),
     (dict(kind="bs", p=0, q=1, omega=0.5, phases=(0.0, 0.0)), "bs element takes no phases"),
 ])
 def test_element_rejects_fields_its_kind_ignores(kwargs, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        Element(**kwargs)
+    # The field rule comes before any value is read, so the file's own port range does not matter here.
+    for build in both_ways(2, **kwargs):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
 
 def test_phase_shifter_matrix():
@@ -116,7 +129,7 @@ def test_single_cell_compilation():
     nl = netlist_from_factorization(f)
     kinds = [e.kind for e in nl.elements]
     assert kinds == ["bs", "diag"]
-    assert nl.elements[0].T == pytest.approx(0.5)
+    assert transmission(nl.elements[0].omega) == pytest.approx(0.5)
     assert nl.elements is nl.elements  # built on the first read only
     assert np.max(np.abs(transfer_matrix(nl) - reconstruct(f))) <= 1e-12
 
@@ -310,21 +323,26 @@ def test_omega_wins_over_transmission_in_a_file(tmp_path):
         {"kind": "bs", "p": 1, "q": 2, "T": 1.0, "omega": 0.25}]}))
     (e,) = load_netlist(path).elements
     assert e.omega == 0.25
-    assert e.T == pytest.approx(np.cos(0.25) ** 2)
+    assert transmission(e.omega) == pytest.approx(np.cos(0.25) ** 2)
 
 
 def test_bs_element_stores_omega_and_derives_transmission():
     (e,) = net(2, {"kind": "bs", "p": 1, "q": 2, "T": 0.25}).elements
     assert e.omega == pytest.approx(np.pi / 3)
-    assert e.T == pytest.approx(0.25)
-    assert Element(kind="bs", p=0, q=1, omega=-1e-13).omega == 0.0
+    assert transmission(e.omega) == pytest.approx(0.25)
+    assert not hasattr(e, "T")
+    for build in both_ways(2, kind="bs", p=0, q=1, omega=-1e-13):
+        assert build().elements[0].omega == 0.0
     for bad in (2.0, -0.1, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            Element(kind="bs", p=0, q=1, omega=bad)
+        for build in both_ways(2, kind="bs", p=0, q=1, omega=bad):
+            with pytest.raises(ValueError, match="^mixing angle"):
+                build()
 
 
 def test_bs_element_wraps_its_phases_as_bs_params_does():
-    e = Element(kind="bs", p=0, q=1, omega=0.5, alpha=7.0, beta=-4.0, phi=np.pi)
+    for build in both_ways(2, kind="bs", p=0, q=1, omega=0.5, alpha=7.0, beta=-4.0, phi=np.pi):
+        (e,) = build().elements
+        assert e == _Element("bs", 0, 1, 0.5, 7.0 - 2 * np.pi, -4.0 + 2 * np.pi, np.pi)
     want = BsParams(0.5, 7.0, -4.0, np.pi)
     assert (e.omega, e.alpha, e.beta, e.phi) == (want.omega, want.alpha, want.beta, want.phi)
     assert e.alpha == 7.0 - 2 * np.pi and e.beta == -4.0 + 2 * np.pi and e.phi == np.pi
@@ -332,19 +350,16 @@ def test_bs_element_wraps_its_phases_as_bs_params_does():
     np.testing.assert_allclose(transfer_matrix(Netlist(2, (e,))), unwrapped, atol=1e-15)
 
 
-def test_loading_a_netlist_file_builds_no_element(tmp_path, monkeypatch):
+def test_loading_a_netlist_file_builds_no_element(tmp_path):
     u = random_unitary(27, 27)
     path = tmp_path / "net.json"
     save_netlist(path, netlist_from_factorization(decompose(u)))
-
-    def refuse(self):
-        raise AssertionError("a checked Element was built")
-
-    monkeypatch.setattr(Element, "__post_init__", refuse)
     nl = load_netlist(path)
     assert np.max(np.abs(transfer_matrix(nl) - u)) <= 1e-10
     assert np.max(np.abs(simulate(nl, np.eye(27)[:, 3]) - u[:, 3])) <= 1e-10
     assert render_schematic(nl, "text").startswith("netlist dim=27 elements=352\n")
+    assert render_schematic(nl, "svg").startswith("<svg")
+    assert "elements" not in vars(nl)  # the record view is built only when it is read
 
 
 def test_netlist_file_dim_is_capped(tmp_path):
@@ -366,26 +381,47 @@ def test_netlist_reads_its_dimension_as_an_integer():
     ({"kind": "bs", "p": 0, "q": 1}, "bs element needs p, q, omega"),
 ], ids=["unknown-kind", "missing-field"])
 def test_element_refusals_name_their_fault(kwargs, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        Element(**kwargs)
+    for build in both_ways(2, **kwargs):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+    # A file's bs may give "T" in place of "omega", but not leave both out.
+    with pytest.raises(ValueError, match="^bs element needs p, q, omega$"):
+        net(2, {"kind": "bs", "p": 1, "q": 2, "alpha": 0.1})
+    with pytest.raises(ValueError, match="^bs element needs p, q, omega$"):
+        net(2, {"kind": "bs", "q": 2, "T": 0.5})
 
 
 def test_numpy_scalars_and_tuples_still_build_elements():
-    el = Element("bs", np.int64(0), np.int64(1), omega=np.float64(0.3), alpha=np.float32(0.5), phi=1)
-    assert (el.omega, el.alpha, el.phi) == (0.3, float(np.float32(0.5)), 1.0)
-    diag = Element("diag", phases=(np.float64(0.25), 0))
+    el = _Element("bs", np.int64(0), np.int64(1), omega=np.float64(0.3), alpha=np.float32(0.5), phi=1)
+    diag = _Element("diag", phases=(np.float64(0.25), 0))
+    nl = Netlist(2, (el, diag))
+    assert nl.kind.tolist() == [0, 2]  # a bs, then a diag
+    bs, diag = nl.elements
+    assert (bs.omega, bs.alpha, bs.beta, bs.phi) == (0.3, float(np.float32(0.5)), 0.0, 1.0)
     assert diag.phases == (0.25, 0.0)
-    assert Netlist(2, (el, diag)).kind.tolist() == [0, 2]  # a bs, then a diag
+    # A ps reads back as the columns hold it: a plain int port and a float phase.
+    for phase in (Fraction(1, 3), np.float64(1 / 3), 1 / 3):
+        (ps,) = Netlist(2, (_Element("ps", np.int64(1), phase=phase),)).elements
+        assert ps == _Element("ps", 1, phase=1 / 3) and type(ps.p) is int and type(ps.phase) is float
 
 
-def test_replace_builds_a_netlist_of_new_elements_which_it_keeps():
+def test_replace_builds_a_netlist_of_new_elements():
     nl = netlist_from_factorization(decompose(random_unitary(4, 5)))
+    # Rebuilt from its own records, a compiled netlist is the same netlist, with the same records.
+    rebuilt = Netlist(nl.dim, nl.elements)
+    assert rebuilt == nl and rebuilt.elements == nl.elements
+    assert netlist_to_payload(rebuilt) == netlist_to_payload(nl)
     elements = list(nl.elements)
     elements[3] = dataclasses.replace(elements[3], alpha=elements[3].alpha + 1e-6)
     moved = dataclasses.replace(nl, elements=tuple(elements))
     assert moved != nl
     assert not np.array_equal(transfer_matrix(moved), transfer_matrix(nl))
-    assert all(a is b for a, b in zip(Netlist(4, elements).elements, elements, strict=True))
+    assert moved.elements == tuple(elements)
+    elements[3] = dataclasses.replace(elements[3], alpha=7.0)
+    assert dataclasses.replace(nl, elements=tuple(elements)).elements[3].alpha == 7.0 - 2 * np.pi
+    ps = net(2, {"kind": "ps", "p": 1, "phase": 0.5}).elements[0]
+    with pytest.raises(ValueError, match="^ps element takes no q$"):
+        Netlist(2, (dataclasses.replace(ps, q=1),))
     assert [f.name for f in dataclasses.fields(Netlist)] == ["dim"] and repr(nl) == "Netlist(dim=4)"
     with pytest.raises(TypeError, match="unhashable"):
         hash(nl)

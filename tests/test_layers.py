@@ -7,6 +7,7 @@ products; the two must agree to rounding.
 """
 
 import copy
+import dataclasses
 import json
 import pickle
 
@@ -16,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from multiport import (
     BsParams,
-    Element,
     Netlist,
     decompose,
     load_factorization,
@@ -67,19 +67,32 @@ phase = st.floats(-np.pi, np.pi)
 
 @st.composite
 def netlists(draw):
-    """Long-range and adjacent bs cells, ps elements and diag layers anywhere, dim 1 to 6."""
+    """Long-range and adjacent bs cells, ps elements and diag layers anywhere, dim 1 to 6, read from a payload."""
     dim = draw(st.integers(1, 6))
     kinds = ["ps", "diag"] + (["bs", "bs", "bs"] if dim > 1 else [])
     elements = []
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=14)):
         if kind == "bs":
-            p, q = sorted(draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True)))
-            elements.append(Element("bs", p, q, draw(mixing), draw(phase), draw(phase), draw(phase)))
+            p, q = sorted(draw(st.lists(st.integers(1, dim), min_size=2, max_size=2, unique=True)))
+            elements.append(
+                {"kind": "bs", "p": p, "q": q, "omega": draw(mixing), "alpha": draw(phase), "beta": draw(phase),
+                 "phi": draw(phase)}
+            )
         elif kind == "ps":
-            elements.append(Element("ps", draw(st.integers(0, dim - 1)), phase=draw(phase)))
+            elements.append({"kind": "ps", "p": draw(st.integers(1, dim)), "phase": draw(phase)})
         else:
-            elements.append(Element("diag", phases=draw(st.lists(phase, min_size=dim, max_size=dim))))
-    return Netlist(dim=dim, elements=tuple(elements))
+            elements.append({"kind": "diag", "phases": draw(st.lists(phase, min_size=dim, max_size=dim))})
+    return netlist_from_payload({"dim": dim, "elements": elements})
+
+
+# One ``nl.elements`` record of each kind, for ``dataclasses.replace``.
+RECORDS = {
+    e.kind: e
+    for e in netlist_from_payload({"dim": 2, "elements": [
+        {"kind": "bs", "p": 1, "q": 2, "omega": 0.5}, {"kind": "ps", "p": 1, "phase": 0.5},
+        {"kind": "diag", "phases": [0.5, 0.5]},
+    ]}).elements
+}
 
 
 @st.composite
@@ -157,20 +170,24 @@ def test_one_checker_every_way_in(nl, data):
     for built in (nl, back):
         assert not built.angles[built.kind != TWO, 1:].any()
 
-    # The same bad element, in memory and in a file, at any place in the list.
+    # The same bad element, in memory (a record edited by ``dataclasses.replace``) and in a file,
+    # at any place in the list, refused for the same fault both ways.
     at = data.draw(st.integers(0, len(nl.elements)))
     dim = nl.dim
     bad = (
-        (dict(kind="ps", p=dim, phase=0.5), {"kind": "ps", "p": dim + 1, "phase": 0.5}),
-        (dict(kind="diag", phases=(0.5,) * (dim + 1)), {"kind": "diag", "phases": [0.5] * (dim + 1)}),
-        (dict(kind="bs", p=0, q=dim, omega=0.5), {"kind": "bs", "p": 1, "q": dim + 1, "omega": 0.5}),
-        (dict(kind="bs", p=0, q=1, omega=2.0), {"kind": "bs", "p": 1, "q": 2, "omega": 2.0}),
+        (dict(kind="ps", p=dim), {"kind": "ps", "p": dim + 1, "phase": 0.5}, "^ps port"),
+        (dict(kind="ps", q=0), {"kind": "ps", "p": 1, "q": 1, "phase": 0.5}, "^ps element takes no q$"),
+        (dict(kind="diag", phases=(0.5,) * (dim + 1)), {"kind": "diag", "phases": [0.5] * (dim + 1)}, "^diag element"),
+        (dict(kind="bs", p=0, q=dim), {"kind": "bs", "p": 1, "q": dim + 1, "omega": 0.5}, "^bs ports"),
+        # At dim 1 there is no port 2 for this cell.
+        (dict(kind="bs", omega=2.0), {"kind": "bs", "p": 1, "q": 2, "omega": 2.0}, "^(mixing angle|bs ports)"),
     )
-    for kwargs, item in bad:
-        with pytest.raises(ValueError):
-            Netlist(dim, nl.elements[:at] + (Element(**kwargs),) + nl.elements[at:])
+    for fields, item, fault in bad:
+        record = dataclasses.replace(RECORDS[fields["kind"]], **fields)
+        with pytest.raises(ValueError, match=fault):
+            Netlist(dim, nl.elements[:at] + (record,) + nl.elements[at:])
         items = payload["elements"][:at] + [item] + payload["elements"][at:]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=fault):
             netlist_from_payload({"dim": dim, "elements": items})
 
 
@@ -183,19 +200,24 @@ def test_layered_reconstruct_matches_sequential_reference(f):
 def test_reference_cases_cover_mid_list_diag_and_width_one_layers():
     # A chain on ports (0, 1) gives layers of one cell; the diag in the middle
     # is a barrier that the ps and the long-range cell after it must wait for.
-    nl = Netlist(dim=4, elements=(
-        Element("bs", 0, 1, 0.3, 0.1, 0.2, 0.3),
-        Element("bs", 0, 1, 1.1, -0.4, 0.5, 2.0),
-        Element("bs", 2, 3, 0.7, 0.0, 1.0, -1.0),
-        Element("diag", phases=(0.1, 0.2, 0.3, 0.4)),
-        Element("ps", 3, phase=0.9),
-        Element("bs", 0, 3, 0.2, 1.5, -2.5, 0.4),
-        Element("bs", 1, 2, 1.4, 0.3, 0.3, 0.3),
-    ))
+    def bs(p, q, omega, alpha, beta, phi):
+        return {"kind": "bs", "p": p, "q": q, "omega": omega, "alpha": alpha, "beta": beta, "phi": phi}
+
+    nl = netlist_from_payload({"dim": 4, "elements": [
+        bs(1, 2, 0.3, 0.1, 0.2, 0.3),
+        bs(1, 2, 1.1, -0.4, 0.5, 2.0),
+        bs(3, 4, 0.7, 0.0, 1.0, -1.0),
+        {"kind": "diag", "phases": [0.1, 0.2, 0.3, 0.4]},
+        {"kind": "ps", "p": 4, "phase": 0.9},
+        bs(1, 4, 0.2, 1.5, -2.5, 0.4),
+        bs(2, 3, 1.4, 0.3, 0.3, 0.3),
+    ]})
     assert nl.depth == 5
     assert np.max(np.abs(transfer_matrix(nl) - sequential_transfer(nl))) <= DIFF_TOL
     for dim in (1, 2):
-        nl = Netlist(dim=dim, elements=(Element("diag", phases=(0.5,) * dim), Element("ps", 0, phase=-1.0)))
+        nl = netlist_from_payload(
+            {"dim": dim, "elements": [{"kind": "diag", "phases": [0.5] * dim}, {"kind": "ps", "p": 1, "phase": -1.0}]}
+        )
         assert np.max(np.abs(transfer_matrix(nl) - sequential_transfer(nl))) <= DIFF_TOL
 
 
