@@ -37,6 +37,7 @@ from .numerics import (
     read_array,
     read_complex,
     read_json,
+    read_object,
     read_str,
     rows_equal_up_to_global_phase,
     write_json,
@@ -396,23 +397,18 @@ def context_graph_to_payload(graph: ContextGraph) -> list:
     ]
 
 
+def _read_ray(rr) -> Ray:
+    rr = read_object(rr, "ray", ("label", "vector"))
+    return Ray(read_str(rr["label"]), np.array([read_complex(z) for z in read_array(rr["vector"])], dtype=complex))
+
+
 def context_graph_from_payload(payload) -> ContextGraph:
-    if not isinstance(payload, list):
-        raise ValueError("context graph payload must be a list of contexts")
+    payload = [read_object(item, "context", ("name", "rays")) for item in read_array(payload)]
     total = sum(len(read_array(item["rays"])) for item in payload)
     if total > MAX_FILE_RAYS:
         raise ValueError(f"context graph of {total} rays exceeds the limit of {MAX_FILE_RAYS}")
-    contexts = []
-    for item in payload:
-        rays = tuple(
-            Ray(
-                label=read_str(rr["label"]),
-                vector=np.array([read_complex(z) for z in read_array(rr["vector"])], dtype=np.complex128),
-            )
-            for rr in item["rays"]
-        )
-        contexts.append(Context(name=read_str(item["name"]), rays=rays))
-    return ContextGraph(contexts=tuple(contexts))
+    return ContextGraph(tuple(Context(rays=tuple(map(_read_ray, item["rays"])), name=read_str(item["name"]))
+                              for item in payload))
 
 
 def save_context_graph(path, graph: ContextGraph) -> None:

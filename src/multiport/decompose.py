@@ -41,6 +41,7 @@ from .numerics import (
     read_array,
     read_int,
     read_json,
+    read_object,
     read_real,
     unitarity_deviation,
     write_json,
@@ -57,7 +58,6 @@ __all__ = [
 
 SKIP_TOL = 1e-14  # entries at or below this magnitude need no elimination
 UNITARY_TOL = 1e-9  # input Gram deviation; residual distance from a unit-modulus diagonal
-_FACTOR_FIELDS = frozenset(("p", "q", "omega", "phi"))  # every field a factor record takes
 
 
 @dataclass(frozen=True)
@@ -227,6 +227,7 @@ def factorization_to_payload(f: Factorization) -> dict:
 
 def factorization_from_payload(payload: dict) -> Factorization:
     """A factorization from its file, every rule checked once, with the angle rules of ``TParams``."""
+    payload = read_object(payload, "factorization", ("dim", "factors", "diagonal"))
     dim = read_int(payload["dim"])
     if dim > MAX_FILE_DIM:
         raise ValueError(f"factorization dim {dim} exceeds the limit of {MAX_FILE_DIM}")
@@ -236,11 +237,9 @@ def factorization_from_payload(payload: dict) -> Factorization:
     limit = dim * (dim - 1) // 2
     if len(items) > limit:
         raise ValueError(f"{len(items)} factors exceed the n(n-1)/2 = {limit} bound")
+    items = [read_object(item, "factor", ("p", "q", "omega", "phi")) for item in items]
     p = np.array([read_int(item["p"]) for item in items], dtype=np.int64)
     q = np.array([read_int(item["q"]) for item in items], dtype=np.int64)
-    for item in items:
-        if not item.keys() <= _FACTOR_FIELDS:
-            raise ValueError(f"factor takes no {', '.join(name for name in item if name not in _FACTOR_FIELDS)}")
     bad = np.flatnonzero((p < 1) | (p >= q) | (q > dim))
     if bad.size:
         raise ValueError(f"file ports ({p[bad[0]]}, {q[bad[0]]}) invalid for dim {dim} (1-based)")

@@ -28,11 +28,12 @@ elements)`` read their element records through ``_read_elements``, which
 holds every rule:
 
 * ``dim >= 1``;
-* the kind is ``bs``, ``ps`` or ``diag``;
+* a record is an object, and its kind is ``bs``, ``ps`` or ``diag``;
 * a record has the fields its kind needs -- ``p``, ``q`` and ``omega`` (or
   ``T``) for a ``bs``, ``p`` and ``phase`` for a ``ps``, ``phases`` for a
   ``diag`` -- and no field its kind does not take; a ``bs`` also takes
-  ``alpha``, ``beta`` and ``phi``;
+  ``alpha``, ``beta`` and ``phi``.  ``numerics.read_object`` checks this,
+  the object rule of every file format;
 * a ``bs`` has ports p < q and a ``ps`` a port p, each an integer in the
   reader's range (0 to dim - 1 in memory, 1 to dim in a file);
 * a ``bs`` mixing angle lies in [0, pi/2] (an overshoot within 1e-12 is
@@ -70,7 +71,7 @@ from .devices import (
     omega_from_transmission,
     transmission,
 )
-from .numerics import as_vector, read_array, read_int, read_json, read_real, write_json
+from .numerics import as_vector, read_array, read_int, read_json, read_object, read_real, write_json
 
 __all__ = [
     "Netlist",
@@ -91,7 +92,6 @@ _TAKES = {
     "diag": {"kind", "phases"},
 }
 _KINDS = tuple(_NEEDS)
-_NEED_SETS = {k: frozenset(need) for k, need in _NEEDS.items()}
 
 
 @dataclass(frozen=True)
@@ -167,27 +167,26 @@ def _read_elements(dim: int, items, base: int) -> dict:
     The one reader of element records, and the one place their rules are
     checked: ``items`` are the dicts of a netlist file (``base`` 1) or the
     non-None fields of ``Netlist.elements`` records (``base`` 0).  Each
-    record's kind and fields are checked before it is read.  A ``bs`` record
-    without ``"omega"`` takes it from ``"T"``; absent phases are 0.
+    record must be an object of a known kind; a ``bs`` record without
+    ``"omega"`` takes it from ``"T"``, and then ``read_object`` checks the
+    record's fields against its kind's ``_NEEDS`` and ``_TAKES`` before any
+    is read.  Absent phases are 0.
     """
     if dim < 1:
         raise ValueError("netlist dimension must be >= 1")
     ports, angles, rows = [], [], []  # kind, p, q of each element, flat; its angles; each diag's phases
     for item in read_array(items):
-        k = item.get("kind")
+        k = read_object(item).get("kind")
         if k not in _KINDS:
             raise ValueError(f"unknown element kind {k!r}; expected one of {_KINDS}")
-        keys = item.keys()
-        if not keys <= _TAKES[k]:
-            raise ValueError(f"{k} element takes no {', '.join(name for name in item if name not in _TAKES[k])}")
-        if not (keys >= _NEED_SETS[k] or k == "bs" and keys >= {"p", "q", "T"}):
-            raise ValueError(f"{k} element needs {', '.join(_NEEDS[k])}")
+        if k == "bs" and "omega" not in item and "T" in item:  # the older format
+            item = {**item, "omega": omega_from_transmission(read_real(item["T"]))}
+        item = read_object(item, f"{k} element", _NEEDS[k], _TAKES[k])
         if k == "bs":
             ports += (TWO, read_int(item["p"]), read_int(item["q"]))
-            omega = read_real(item["omega"]) if "omega" in item else omega_from_transmission(read_real(item["T"]))
             get = item.get
             alpha, beta, phi = read_real(get("alpha", 0.0)), read_real(get("beta", 0.0)), read_real(get("phi", 0.0))
-            angles.append((omega, alpha, beta, phi))
+            angles.append((read_real(item["omega"]), alpha, beta, phi))
         elif k == "ps":
             ports += (ONE, read_int(item["p"]), base - 1)
             angles.append((read_real(item["phase"]), 0.0, 0.0, 0.0))
@@ -339,6 +338,7 @@ def netlist_to_payload(nl: Netlist) -> dict:
 
 def netlist_from_payload(payload: dict) -> Netlist:
     """The columns of a netlist file, read and checked by ``_read_elements``; no record is built."""
+    payload = read_object(payload, "netlist", ("dim", "elements"))
     dim = read_int(payload["dim"])
     if dim > MAX_FILE_DIM:
         raise ValueError(f"netlist dim {dim} exceeds the limit of {MAX_FILE_DIM}")

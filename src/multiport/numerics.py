@@ -1,7 +1,11 @@
 """Dense complex linear algebra helpers shared by the rest of the package.
 
 Everything operates on plain ``numpy`` arrays with ``complex128`` entries.
-The implementations favor readability over sparsity tricks.
+The implementations favor readability over sparsity tricks.  The module
+also owns the JSON file rules: ``read_json`` refuses a field given twice,
+and ``read_int``, ``read_real``, ``read_str``, ``read_array`` and
+``read_object`` hold each kind of value a file gives, ``read_object`` the
+fields every object of every format needs and takes.
 """
 
 from __future__ import annotations
@@ -9,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import Counter
 from typing import Union
 
 import numpy as np
@@ -220,16 +225,27 @@ def write_json(path, payload) -> None:
     write_text(path, json.dumps(payload))
 
 
+def _unique_fields(pairs: list) -> dict:
+    """A JSON object from its ``(field, value)`` pairs; a field given twice raises ValueError naming it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = Counter(k for k, _ in pairs)
+        raise ValueError(f"repeated field {next(k for k in counts if counts[k] > 1)!r}")
+    return obj
+
+
 def read_json(path, from_payload):
     """Build an object from a JSON file with ``from_payload``.
 
-    A file whose structure does not fit -- a missing key, a number where a
-    list or an object belongs, nesting too deep to parse -- raises
-    ValueError, like a bad value does.
+    A field given twice in one object raises ValueError naming it, and so
+    does an object without a field it needs or with one it does not take
+    (``read_object``).  A file whose structure does not fit in another way
+    -- a number where a list or an object belongs, nesting too deep to parse
+    -- raises ValueError too, like a bad value does.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, object_pairs_hook=_unique_fields)
         return from_payload(payload)
     except (LookupError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
         raise ValueError(f"malformed file {path} ({type(exc).__name__}: {exc})") from exc
@@ -280,6 +296,18 @@ def read_array(value):
     return value
 
 
+def read_object(value, what=None, needs=(), takes=frozenset()) -> dict:
+    """A JSON object read from a file; given ``what``, with each field of ``needs`` and none but those and ``takes``."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    need = frozenset(needs)
+    if what and not value.keys() <= need | takes:
+        raise ValueError(f"{what} takes no {', '.join(k for k in value if k not in need | takes)}")
+    if not value.keys() >= need:
+        raise ValueError(f"{what} needs {', '.join(needs)}")
+    return value
+
+
 def read_complex(pair) -> complex:
     """An entry ``[re, im]`` read from a file, by the two rules above."""
     re, im = read_array(pair)
@@ -287,6 +315,7 @@ def read_complex(pair) -> complex:
 
 
 def matrix_from_payload(payload: dict) -> np.ndarray:
+    payload = read_object(payload, "matrix", ("rows", "cols", "entries"))
     rows = read_int(payload["rows"])
     cols = read_int(payload["cols"])
     entries = read_array(payload["entries"])

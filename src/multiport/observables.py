@@ -256,7 +256,8 @@ def verify_eigenbasis(obs: TensorObservable, analyzer: AnalyzerUnitary) -> np.nd
 #
 # One segment per particle, joined by "|".  Within a segment, ";"-separated
 # fields: "plane=a,b", "theta=<radians>", "labels=v1,v2[,v3]", or the single
-# field "id" for an identity slot.  Angles are decimal radians.
+# field "id" for an identity slot, each field at most once.  Angles are
+# decimal radians.
 
 
 def _parse_segment(seg: str, dim: int) -> ObservableSpec:
@@ -269,6 +270,7 @@ def _parse_segment(seg: str, dim: int) -> ObservableSpec:
     plane: Optional[tuple[int, int]] = None
     theta: Optional[float] = None
     labels = default_labels(dim)
+    seen = set()
     for f in fields:
         key, eq, val = f.partition("=")
         key = key.strip()
@@ -277,6 +279,9 @@ def _parse_segment(seg: str, dim: int) -> ObservableSpec:
             raise ValueError("'id' cannot be combined with other fields")
         if not eq:
             raise ValueError(f"malformed observable field {f!r}")
+        if key in seen:
+            raise ValueError(f"repeated observable field {key!r}")
+        seen.add(key)
         if key == "plane":
             try:
                 a, b = (int(x) for x in val.split(","))

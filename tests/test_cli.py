@@ -298,6 +298,8 @@ def test_predict_qutrit_distribution(capsys):
     ("plane=1,2;theta=-inf|id", "theta must be finite"),
     ("theta=nan|id", "theta needs plane"),
     ("theta=1.0|id", "theta needs plane"),
+    ("plane=1,2;theta=0.3;plane=1,2|id", "repeated observable field 'plane'"),
+    ("plane=1,2;theta=0.3;theta=1.2|id", "repeated observable field 'theta'"),
 ])
 def test_predict_malformed_obs_spec_exits_4(capsys, obs, message):
     code, out, err = run(capsys, "predict", "--state", "bell4", "--obs", obs)

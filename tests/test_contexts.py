@@ -311,7 +311,7 @@ def test_empty_context_empty_graph_and_a_non_list_payload_are_refused():
         Context(name="C", rays=())
     with pytest.raises(ValueError, match="^a context graph needs at least one context$"):
         ContextGraph(contexts=())
-    with pytest.raises(ValueError, match="^context graph payload must be a list of contexts$"):
+    with pytest.raises(TypeError, match="^expected an array, got dict$"):
         context_graph_from_payload({"name": "C", "rays": []})
 
 

@@ -7,7 +7,10 @@ through its reader: the matrix file by ``decompose --in``, the state file by
 ``predict --state @``, the netlist file by ``simulate --net``, the graph file
 by ``contexts --graph @`` (all through ``cli.main`` in process), and the
 factorization file by ``load_factorization``.  Numpy warnings are errors
-here, so a warning that would leak to stderr fails the property.
+here, so a warning that would leak to stderr fails the property.  A table
+then holds every object of every format to its fields, through the same
+readers: a field it does not take, a missing field, an array in its place
+and a field given twice each exit 4 with a message naming the fault.
 """
 
 import contextlib
@@ -211,3 +214,67 @@ def test_a_bool_or_string_where_a_number_or_an_array_belongs_exits_4(name, workd
     code, _, err = _run([a.format(f=path, d=workdir) for a in argv], json_mode=False)
     assert code == 4 and err.endswith(f"{message}\n")
 
+
+
+# Each object of each format, read through ``numerics.read_object``: the format, a valid payload, the path to the
+# object in it, the object's name in refusals, and the fields it needs, in the order a refusal names them.
+OBJECTS = {
+    "matrix": ("matrix", FORMATS["matrix"][0], (), "matrix", ("rows", "cols", "entries")),
+    "state": ("state", FORMATS["state"][0], (), "matrix", ("rows", "cols", "entries")),
+    "netlist": ("netlist", NETLIST2, (), "netlist", ("dim", "elements")),
+    "bs-element": ("netlist", NETLIST2, ("elements", 0), "bs element", ("p", "q", "omega")),
+    "ps-element": ("netlist", {"dim": 2, "elements": [{"kind": "ps", "p": 1, "phase": 0.1}]}, ("elements", 0),
+                   "ps element", ("p", "phase")),
+    "diag-element": ("netlist", NETLIST2, ("elements", 1), "diag element", ("phases",)),
+    "factorization": ("factorization", FACTORIZATION2, (), "factorization", ("dim", "factors", "diagonal")),
+    "factor": ("factorization", FACTORIZATION2, ("factors", 0), "factor", ("p", "q", "omega", "phi")),
+    "context": ("graph", TRIPODS, (0,), "context", ("name", "rays")),
+    "ray": ("graph", TRIPODS, (0, "rays", 0), "ray", ("label", "vector")),
+}
+
+
+def _object_cases():
+    """(id, format, file text, message) for each object: a field it does not take, a missing field, the object
+    replaced by an array, and a field given twice in the text; ``{f}`` in a message is the file's path."""
+    for name, (fmt, payload, path, what, needs) in OBJECTS.items():
+        extra = copy.deepcopy(payload)
+        _node(extra, path)["x"] = 1
+        yield f"{name}-extra", fmt, json.dumps(extra), f"{what} takes no x"
+        missing = copy.deepcopy(payload)
+        del _node(missing, path)[needs[-1]]
+        yield f"{name}-missing", fmt, json.dumps(missing), f"{what} needs {', '.join(needs)}"
+        array = _with(payload, path, [1]) if path else [1]
+        yield f"{name}-array", fmt, json.dumps(array), "malformed file {f} (TypeError: expected an object, got list)"
+        twice = copy.deepcopy(payload)
+        _node(twice, path)["TWICE"] = _node(payload, path)[needs[0]]
+        text = json.dumps(twice).replace('"TWICE"', json.dumps(needs[0]))
+        yield f"{name}-repeated", fmt, text, f"repeated field {needs[0]!r}"
+    # A key of no format, on a ray and on its context, and on a matrix: each was once read past as if absent.
+    graph = copy.deepcopy(TRIPODS)
+    graph[0]["rays"][0]["weight"] = 2
+    graph[0]["colour"] = "red"
+    yield "graph-weight-colour", "graph", json.dumps(graph), "context takes no colour"
+    yield "matrix-scale", "matrix", json.dumps(dict(FORMATS["matrix"][0], scale=3)), "matrix takes no scale"
+
+
+OBJECT_CASES = {case[0]: case[1:] for case in _object_cases()}
+
+
+@pytest.mark.parametrize("case", OBJECT_CASES)
+def test_every_object_of_every_format_holds_to_its_fields(case, workdir):
+    fmt, text, message = OBJECT_CASES[case]
+    path = workdir / f"{case}.json"
+    path.write_text(text)
+    message = message.format(f=path)
+    argv = FORMATS[fmt][1]
+    if argv is None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_factorization(path)
+        return
+    args = [a.format(f=path, d=workdir) for a in argv]
+    code, out, err = _run(args, json_mode=False)
+    json_code, json_out, json_err = _run(args, json_mode=True)
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+    assert (json_code, json_err) == (4, err)
+    failed = {"verb": argv[0], "exit_code": 4, "error_class": "ValueError", "message": message}
+    assert json_out.splitlines() == [json.dumps(failed, sort_keys=True)]
